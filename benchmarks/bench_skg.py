@@ -46,7 +46,7 @@ import platform
 from functools import partial
 from pathlib import Path
 
-from repro.distributed.generator import generate_rank_1d
+from repro.distributed.generator import generate_rank_cells
 from repro.distributed.launcher import spmd_run
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.partition import partition_edges_1d
@@ -87,13 +87,12 @@ def _accept_all_spec() -> SKGSpec:
     )
 
 
-def _timed_rank(comm, parts_a, el_b, n_c, chunk_size, skg):
+def _timed_rank(comm, cells, n_c, chunk_size, skg):
     """Barrier-bracketed kernel timing (slowest rank defines the run)."""
     comm.barrier()
     t0 = perf_clock()
-    out = generate_rank_1d(
-        comm, parts_a, el_b, n_c, "edge_hash", chunk_size, "fused",
-        "raw", skg,
+    out = generate_rank_cells(
+        comm, cells, n_c, "edge_hash", chunk_size, "raw", skg
     )
     comm.barrier()
     return perf_clock() - t0, len(out.edges)
@@ -111,14 +110,14 @@ def run_case(
     skg,
 ) -> dict:
     """``stat``-of-``repeat`` kernel runs of one configuration."""
-    parts_a = partition_edges_1d(a, ranks)
+    cells = [[(part, b)] for part in partition_edges_1d(a, ranks)]
     n_c = a.n * b.n
     candidates = int(a.m_directed) * int(b.m_directed)
     wrap = partial(ThrottledCommunicator, model=NETWORK)
     runs = []
     for _ in range(repeat):
         results = spmd_run(
-            _timed_rank, ranks, parts_a, b, n_c, chunk_size, skg,
+            _timed_rank, ranks, cells, n_c, chunk_size, skg,
             backend=backend, wrap_comm=wrap,
         )
         wall_s = max(w for w, _ in results)

@@ -8,7 +8,8 @@
 # acceptance bars are read from:
 #   - test_bench_bucketing[source_block-scatter] must be >= 2x faster than
 #     test_bench_bucketing[source_block-argsort] on the 1M-edge block;
-#   - test_bench_routed_expansion[routed] must beat [legacy];
+#   - test_bench_routed_expansion[routed] must beat [legacy], the naive
+#     expand + argsort baseline;
 #   - test_bench_hop_matrix[batched] must beat [loop].
 # Compare against the committed baseline in benchmarks/baselines/.
 
@@ -29,7 +30,7 @@ PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py \
 echo "benchmark baseline written to ${OUT}"
 
 # End-to-end generation trajectory (edges/sec, bytes shuffled, per-stage
-# wall time, fused vs legacy) via the telemetry layer; the committed
+# wall time, batch vs async pipeline) via the telemetry layer; the committed
 # BENCH_generation.json at the repo root is the seed baseline to diff
 # against.
 PYTHONPATH=src python benchmarks/trajectory.py \

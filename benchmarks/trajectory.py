@@ -1,7 +1,7 @@
 """Generation perf trajectory: one JSON snapshot per run_benchmarks.sh run.
 
 Runs the distributed generation kernel under a telemetry session --
-fused vs legacy routing plus the async double-buffered pipeline on the
+the batch rank program and the async double-buffered pipeline on the
 same factor pair -- and writes ``BENCH_generation.json`` (repo root by
 default) with the numbers the project tracks release over release:
 
@@ -16,8 +16,8 @@ default) with the numbers the project tracks release over release:
 * ``overlap_s`` / ``overlap_frac``: how much exchange latency the async
   pipeline hid behind generation, and what fraction of the total
   exchange window that is;
-* ``speedup_fused_vs_legacy`` and ``speedup_async_vs_fused``: the two
-  headline ratios the hot path is expected to keep above 1.0.
+* ``speedup_async_vs_fused``: the headline ratio the async pipeline is
+  expected to keep above 1.0.
 
 The kernel runs on the process backend under an **emulated
 interconnect** (:mod:`repro.distributed.netsim`): every message pays
@@ -45,8 +45,8 @@ from functools import partial
 from pathlib import Path
 
 from repro.distributed.generator import (
-    generate_rank_1d,
     generate_rank_1d_pipelined,
+    generate_rank_cells,
 )
 from repro.distributed.launcher import spmd_run
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
@@ -75,37 +75,35 @@ NETWORK = NetworkModel(bandwidth=2e6, latency=100e-6)
 #: overlap pipeline: double-buffered generation with the varint wire
 #: format, so it moves fewer bytes *and* hides wire time behind compute.
 CASES = {
-    "fused": {"routing": "fused"},
-    "legacy": {"routing": "legacy"},
+    "fused": {},
     "pipelined-async": {
         "scheme": "1d-pipelined",
-        "routing": "fused",
         "pipeline": "async",
         "wire": "varint",
     },
 }
 
 
-def _timed_rank_1d(comm, parts_a, el_b, n_c, chunk_size, routing, wire):
-    """Barrier-bracketed kernel timing around the 1d batch generator."""
+def _timed_rank_1d(comm, parts_a, el_b, n_c, chunk_size, wire):
+    """Barrier-bracketed kernel timing around the batch rank program."""
+    cells = [[(part, el_b)] for part in parts_a]
     comm.barrier()
     t0 = perf_clock()
-    out = generate_rank_1d(
-        comm, parts_a, el_b, n_c, "source_block", chunk_size, routing, wire
+    out = generate_rank_cells(
+        comm, cells, n_c, "source_block", chunk_size, wire
     )
     comm.barrier()
     return perf_clock() - t0, len(out.edges)
 
 
 def _timed_rank_pipelined(
-    comm, parts_a, el_b, n_c, chunk_size, routing, pipeline, wire
+    comm, parts_a, el_b, n_c, chunk_size, pipeline, wire
 ):
     """Barrier-bracketed kernel timing around the pipelined generator."""
     comm.barrier()
     t0 = perf_clock()
     out = generate_rank_1d_pipelined(
-        comm, parts_a, el_b, n_c, "source_block", chunk_size, routing,
-        pipeline, wire,
+        comm, parts_a, el_b, n_c, "source_block", chunk_size, pipeline, wire
     )
     comm.barrier()
     return perf_clock() - t0, len(out.edges)
@@ -122,7 +120,6 @@ def run_case(
     stat: str = "best",
     *,
     scheme: str = "1d",
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
 ) -> dict:
@@ -136,13 +133,12 @@ def run_case(
         if scheme == "1d-pipelined":
             results = spmd_run(
                 _timed_rank_pipelined, ranks, parts_a, b, n_c, chunk_size,
-                routing, pipeline, wire,
+                pipeline, wire,
                 backend=backend, wrap_comm=wrap, telemetry=session,
             )
         else:
             results = spmd_run(
-                _timed_rank_1d, ranks, parts_a, b, n_c, chunk_size,
-                routing, wire,
+                _timed_rank_1d, ranks, parts_a, b, n_c, chunk_size, wire,
                 backend=backend, wrap_comm=wrap, telemetry=session,
             )
         wall_s = max(w for w, _ in results)
@@ -153,7 +149,6 @@ def run_case(
         runs.append({
             "case": name,
             "scheme": scheme,
-            "routing": routing,
             "pipeline": pipeline,
             "wire": wire,
             "edges": edges,
@@ -240,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
             "timing": "kernel (barrier-to-barrier, slowest rank)",
         },
         "cases": cases,
-        "speedup_fused_vs_legacy": (
-            cases["legacy"]["wall_s"] / fused["wall_s"]
-        ),
         "speedup_async_vs_fused": fused["wall_s"] / asyncp["wall_s"],
         "bytes_reduction_async_vs_fused": (
             fused["bytes_shuffled"] / asyncp["bytes_shuffled"]
@@ -265,8 +257,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{case['edges_per_s'] / 1e6:7.2f} Medges/s  "
             f"{case['bytes_shuffled'] / 1e6:7.2f} MB shuffled{extra}"
         )
-    print(f"  fused vs legacy speedup:  "
-          f"{result['speedup_fused_vs_legacy']:.2f}x")
     print(f"  async vs fused speedup:   "
           f"{result['speedup_async_vs_fused']:.2f}x  "
           f"(bytes reduced {result['bytes_reduction_async_vs_fused']:.2f}x)")

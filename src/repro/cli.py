@@ -279,7 +279,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         args.ranks,
         plans=plans,
         backends=tuple(args.backends.split(",")),
-        routings=tuple(args.routings.split(",")),
         scheme=args.scheme,
         pipeline=args.pipeline,
         wire=args.wire,
@@ -498,7 +497,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             storage=args.storage,
             backend=args.backend,
             chunk_size=args.chunk_size,
-            routing=args.routing,
             pipeline=args.pipeline,
             wire=args.wire,
             checkpoint_dir=checkpoint_dir,
@@ -526,7 +524,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "ranks": args.ranks,
             "scheme": args.scheme,
             "storage": args.storage,
-            "routing": args.routing,
             "pipeline": args.pipeline,
             "wire": args.wire,
             "backend": args.backend,
@@ -682,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0, help="fault-matrix seed")
     c.add_argument("--backends", default="thread,process",
                    help="comma-separated launcher backends to exercise")
-    c.add_argument("--routings", default="fused,legacy",
-                   help="comma-separated routing modes to rotate through")
     c.add_argument("--scheme", choices=("1d", "1d-pipelined", "2d"),
                    default="1d", help="generation scheme under test")
     c.add_argument("--pipeline", choices=("sync", "async"), default="sync",
@@ -745,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="1d")
     tr.add_argument("--storage", choices=("source_block", "edge_hash"),
                     default="source_block")
-    tr.add_argument("--routing", choices=("fused", "legacy"),
-                    default="fused")
     tr.add_argument("--pipeline", choices=("sync", "async"), default="sync",
                     help="exchange pipeline (async needs --scheme "
                          "1d-pipelined)")

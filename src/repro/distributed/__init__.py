@@ -59,9 +59,8 @@ from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.generator import (
     RankOutput,
-    generate_rank_1d,
+    generate_rank_cells,
     generate_rank_1d_pipelined,
-    generate_rank_2d,
     generate_distributed,
 )
 from repro.distributed.aggregate import (
@@ -135,9 +134,8 @@ __all__ = [
     "NetworkModel",
     "ThrottledCommunicator",
     "RankOutput",
-    "generate_rank_1d",
+    "generate_rank_cells",
     "generate_rank_1d_pipelined",
-    "generate_rank_2d",
     "generate_distributed",
     "ShardManifest",
     "generate_to_directory",

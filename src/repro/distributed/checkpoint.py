@@ -2,7 +2,7 @@
 
 Nonstochastic Kronecker generation is deterministic per shard (Section
 III): rank ``r``'s stored edges are a pure function of the factors, the
-partition, and the routing configuration.  That makes failed work ideal
+partition, and the storage configuration.  That makes failed work ideal
 for checkpoint/retry -- a shard computed once never needs recomputing, and
 a recomputed shard can be *verified* bit-for-bit against the recorded
 digest (cf. Sanders et al., arXiv:1803.09021 on validating generated

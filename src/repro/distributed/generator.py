@@ -1,7 +1,9 @@
 """Distributed nonstochastic Kronecker generation (Section III).
 
-Rank programs implementing the paper's generator under both partitioning
-schemes.  Each rank:
+One batch rank program (:func:`generate_rank_cells`) serves both
+partitioning schemes, which differ only in the per-rank list of
+``(A-part, B-part)`` cells they hand it, plus a per-chunk pipelined 1-D
+variant.  Each rank:
 
 1. takes its slice of the factor edge space (1-D: a shard of A with B
    replicated; 2-D: an (A-part, B-part) grid cell per Remark 1);
@@ -11,22 +13,17 @@ schemes.  Each rank:
    (:mod:`repro.distributed.shuffle`), so generation and storage placement
    stay decoupled.
 
-Routing modes (``routing=``)
-----------------------------
-``"fused"`` (default):
-    the generate->route hot path.  Under ``source_block`` storage the
-    routed kernels of :mod:`repro.kronecker.product` emit every chunk
-    *pre-bucketed by owner* -- owner assignment is computed analytically
-    from the product index structure, so the expand-then-argsort step of
-    the legacy path disappears entirely.  Under ``edge_hash`` the chunk is
-    expanded densely but bucketed with the sort-free counting scatter.
-``"legacy"``:
-    expand -> stable-argsort bucket -> exchange, kept selectable for A/B
-    benchmarking (``benchmarks/bench_generation_remark1.py``) and as the
-    reference the equivalence property tests compare against.
-
-Both modes produce identical edge multisets; see
-``tests/property/test_routed_equivalence.py``.
+Routing
+-------
+Under ``source_block`` storage the routed kernels of
+:mod:`repro.kronecker.product` emit every chunk *pre-bucketed by owner*:
+owner assignment is computed analytically from the product index
+structure, so no generated edge is ever sorted by owner.  Under
+``edge_hash`` the chunk is expanded densely and bucketed with the
+sort-free counting scatter (:func:`repro.distributed.shuffle.bucket_edges`).
+``tests/property/test_routed_equivalence.py`` checks both against the
+serial product split by the stable-argsort reference
+(:func:`repro.distributed.shuffle.argsort_split`).
 
 Generation models (``model=``)
 ------------------------------
@@ -39,7 +36,7 @@ Generation models (``model=``)
     :func:`repro.graph.generators.complete_with_loops`) and a
     deterministic hash-thresholded acceptance filter
     (:class:`repro.skg.sample.SKGAcceptor`) runs inside the generate
-    span on every scheme x routing x pipeline path.  Because acceptance
+    span on every scheme x storage x pipeline path.  Because acceptance
     is a pure function of ``(skg_seed, u, v)``, the filtered output is
     bit-identical across backends, chunk sizes, retries, and elastic
     re-sharding -- the same invariants the exact model enjoys.
@@ -73,6 +70,7 @@ from repro.distributed.shuffle import (
 )
 from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.indexing import product_vertex_count
 from repro.kronecker.product import (
     DEFAULT_CHUNK,
     iter_kron_product,
@@ -84,13 +82,11 @@ from repro.telemetry.session import NULL_TELEMETRY, telemetry_of
 
 __all__ = [
     "RankOutput",
-    "generate_rank_1d",
+    "generate_rank_cells",
     "generate_rank_1d_pipelined",
-    "generate_rank_2d",
     "generate_distributed",
 ]
 
-_ROUTINGS = ("fused", "legacy")
 _PIPELINES = ("sync", "async")
 _EMPTY = np.empty((0, 2), dtype=np.int64)
 
@@ -113,13 +109,6 @@ class RankOutput:
     rank: int
     edges: np.ndarray
     generated: int
-
-
-def _check_routing(routing: str) -> None:
-    if routing not in _ROUTINGS:
-        raise PartitionError(
-            f"unknown routing {routing!r}; use 'fused' or 'legacy'"
-        )
 
 
 def _check_pipeline(pipeline: str) -> None:
@@ -231,14 +220,14 @@ def _generate_cells_routed(
 
     Each cell's per-owner slices are exactly preallocated by
     :func:`kron_routed_full`; multi-cell ranks (folded 2-D grids) stack the
-    per-cell buckets owner-wise.  On the fused path owner assignment is
-    analytic, so the "route" phase degenerates to the owner-wise stack --
-    the trace shows it that way on purpose.  The SKG ``acceptor`` (when
-    present) filters each owner bucket inside the generate span.
+    per-cell buckets owner-wise.  Owner assignment is analytic, so the
+    "route" phase degenerates to the owner-wise stack -- the trace shows it
+    that way on purpose.  The SKG ``acceptor`` (when present) filters each
+    owner bucket inside the generate span.
     """
     per_owner: list[list[np.ndarray]] = [[] for _ in range(nparts)]
     generated = 0
-    with tel.span("generate", cat="phase", routing="fused"):
+    with tel.span("generate", cat="phase"):
         for part_a, part_b in cells:
             buckets = kron_routed_full(part_a, part_b, nparts, n_c, chunk_size)
             for d, blk in enumerate(buckets):
@@ -247,7 +236,7 @@ def _generate_cells_routed(
                 if len(blk):
                     per_owner[d].append(blk)
                     generated += len(blk)
-    with tel.span("route", cat="phase", method="fused"):
+    with tel.span("route", cat="phase"):
         outgoing = [
             np.vstack(blks) if len(blks) > 1 else (blks[0] if blks else _EMPTY)
             for blks in per_owner
@@ -255,87 +244,47 @@ def _generate_cells_routed(
     return outgoing, generated
 
 
-def _route_and_store(
-    comm: Communicator,
-    cells: list[tuple[EdgeList, EdgeList]],
-    n_c: int,
-    storage: str | None,
-    chunk_size: int,
-    routing: str,
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """Shared body of the batch (non-pipelined) rank programs."""
-    _check_routing(routing)
-    _check_wire(wire)
-    tel = telemetry_of(comm)
-    acceptor = _make_acceptor(skg)
-    if storage is None or comm.size == 1:
-        with tel.span("generate", cat="phase", routing=routing):
-            edges, generated = _generate_cells(cells, chunk_size, acceptor)
-        _emit_skg_counters(tel, acceptor)
-        tel.add("edges.generated", generated)
-        tel.add("edges.stored", len(edges))
-        return RankOutput(comm.rank, edges, generated)
-    if routing == "fused" and storage == "source_block":
-        outgoing, generated = _generate_cells_routed(
-            cells, comm.size, n_c, chunk_size, tel, acceptor
-        )
-        edges = exchange_edges(comm, outgoing, wire=wire)
-    else:
-        with tel.span("generate", cat="phase", routing=routing):
-            edges, generated = _generate_cells(cells, chunk_size, acceptor)
-        method = "scatter" if routing == "fused" else "argsort"
-        edges = shuffle_to_owners(
-            comm, edges, scheme=storage, n=n_c, method=method, wire=wire
-        )
-    _emit_skg_counters(tel, acceptor)
-    tel.add("edges.generated", generated)
-    tel.add("edges.stored", len(edges))
-    return RankOutput(comm.rank, edges, generated)
-
-
-def generate_rank_1d(
-    comm: Communicator,
-    parts_a: list[EdgeList],
-    el_b: EdgeList,
-    n_c: int,
-    storage: str | None,
-    chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """Rank program for the 1-D scheme: ``C_r = A_r (x) B``.
-
-    ``parts_a`` is the full shard list (replicated, tiny) and each rank
-    picks ``parts_a[comm.rank]`` -- matching the paper's file-per-rank read
-    without I/O in the hot path.  ``storage=None`` keeps generated edges
-    local; ``"source_block"``/``"edge_hash"`` route them to owners, fused
-    with generation by default (see module docstring).  ``skg`` (an
-    :class:`repro.skg.model.SKGSpec`) switches on stochastic acceptance.
-    """
-    part = parts_a[comm.rank]
-    return _route_and_store(
-        comm, [(part, el_b)], n_c, storage, chunk_size, routing, wire, skg
-    )
-
-
-def generate_rank_2d(
+def generate_rank_cells(
     comm: Communicator,
     assignments: list[list[tuple[EdgeList, EdgeList]]],
     n_c: int,
     storage: str | None,
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     wire: str = "raw",
     skg=None,
 ) -> RankOutput:
-    """Rank program for Remark 1's 2-D scheme: ``A_{r % Rh} (x) B_{r // Rh}``."""
-    return _route_and_store(
-        comm, assignments[comm.rank], n_c, storage, chunk_size, routing,
-        wire, skg,
-    )
+    """Batch rank program: generate ``assignments[comm.rank]``, then store.
+
+    ``assignments`` is the replicated per-rank list of ``(A-part,
+    B-part)`` cells.  The 1-D scheme (``C_r = A_r (x) B``) is one cell per
+    rank, ``[[(part, el_b)] for part in partition_edges_1d(el_a, R)]``;
+    Remark 1's 2-D scheme gives rank ``r`` the grid cell
+    ``A_{r % Rh} (x) B_{r // Rh}`` (several when the grid is folded).
+    ``storage=None`` keeps generated edges local;
+    ``"source_block"``/``"edge_hash"`` route them to their owners in one
+    exchange (see module docstring).  ``skg`` (an
+    :class:`repro.skg.model.SKGSpec`) switches on stochastic acceptance.
+    """
+    _check_wire(wire)
+    cells = assignments[comm.rank]
+    tel = telemetry_of(comm)
+    acceptor = _make_acceptor(skg)
+    if storage == "source_block" and comm.size > 1:
+        outgoing, generated = _generate_cells_routed(
+            cells, comm.size, n_c, chunk_size, tel, acceptor
+        )
+        edges = exchange_edges(comm, outgoing, wire=wire)
+    else:
+        with tel.span("generate", cat="phase"):
+            edges, generated = _generate_cells(cells, chunk_size, acceptor)
+        if storage is not None and comm.size > 1:
+            edges = shuffle_to_owners(
+                comm, edges, scheme=storage, n=n_c, wire=wire
+            )
+    _emit_skg_counters(tel, acceptor)
+    tel.add("edges.generated", generated)
+    tel.add("edges.stored", len(edges))
+    return RankOutput(comm.rank, edges, generated)
 
 
 def generate_distributed(
@@ -347,7 +296,6 @@ def generate_distributed(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
     model: str = "exact",
@@ -373,9 +321,6 @@ def generate_distributed(
         ``nranks == 1``).
     chunk_size:
         Max product edges materialized at once per rank.
-    routing:
-        ``"fused"`` (generate pre-bucketed, sort-free -- the default) or
-        ``"legacy"`` (expand, argsort-bucket, exchange) for A/B comparison.
     pipeline:
         ``"sync"`` (each round's exchange completes before the next chunk
         is generated -- the default) or ``"async"`` (double-buffered: the
@@ -411,71 +356,61 @@ def generate_distributed(
     (EdgeList, list[RankOutput])
         The reassembled product (row order may differ from the serial
         product; contents are identical as multisets) and per-rank outputs.
+
+    Raises :class:`~repro.errors.VertexIdOverflowError` before launching
+    any rank when ``n_A * n_B`` reaches ``2**63``.
     """
-    _check_routing(routing)
+    n_c = product_vertex_count((el_a.n, el_b.n))
     _check_pipeline(pipeline)
     _check_wire(wire)
-    _check_model(model, skg, el_a.n * el_b.n)
+    _check_model(model, skg, n_c)
     if pipeline == "async" and scheme != "1d-pipelined":
         raise PartitionError(
             f"pipeline='async' requires scheme='1d-pipelined' (scheme "
             f"{scheme!r} performs a single batch exchange with nothing to "
             f"overlap)"
         )
-    n_c = el_a.n * el_b.n
     run_kwargs = {"backend": backend}
     if telemetry is not None:
         run_kwargs["telemetry"] = telemetry
     if scheme == "1d-pipelined":
         if storage is None:
             storage = "source_block"
-        parts_a = partition_edges_1d(el_a, nranks)
         outputs = runner(
             generate_rank_1d_pipelined,
             nranks,
-            parts_a,
+            partition_edges_1d(el_a, nranks),
             el_b,
             n_c,
             storage,
             chunk_size,
-            routing,
             pipeline,
             wire,
             skg,
             **run_kwargs,
         )
-    elif scheme == "1d":
-        parts_a = partition_edges_1d(el_a, nranks)
+    else:
+        if scheme == "1d":
+            assignments = [
+                [(part, el_b)] for part in partition_edges_1d(el_a, nranks)
+            ]
+        elif scheme == "2d":
+            assignments = partition_edges_2d(el_a, el_b, nranks)
+        else:
+            raise PartitionError(
+                f"unknown scheme {scheme!r}; use '1d', '1d-pipelined', or "
+                f"'2d'"
+            )
         outputs = runner(
-            generate_rank_1d,
-            nranks,
-            parts_a,
-            el_b,
-            n_c,
-            storage,
-            chunk_size,
-            routing,
-            wire,
-            skg,
-            **run_kwargs,
-        )
-    elif scheme == "2d":
-        assignments = partition_edges_2d(el_a, el_b, nranks)
-        outputs = runner(
-            generate_rank_2d,
+            generate_rank_cells,
             nranks,
             assignments,
             n_c,
             storage,
             chunk_size,
-            routing,
             wire,
             skg,
             **run_kwargs,
-        )
-    else:
-        raise PartitionError(
-            f"unknown scheme {scheme!r}; use '1d', '1d-pipelined', or '2d'"
         )
     blocks = [o.edges for o in outputs if o is not None and len(o.edges)]
     edges = (
@@ -484,7 +419,7 @@ def generate_distributed(
     return EdgeList(edges, n_c), outputs
 
 
-def _legacy_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
+def _expanded_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
     """Chunks :func:`iter_kron_product` emits for an ``ma x mb`` product."""
     if ma == 0 or mb == 0:
         return 0
@@ -501,24 +436,22 @@ def generate_rank_1d_pipelined(
     n_c: int,
     storage: str,
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
     skg=None,
 ) -> RankOutput:
     """1-D rank program with per-chunk routing (pipelined sends).
 
-    The batch variant (:func:`generate_rank_1d`) generates everything and
+    The batch program (:func:`generate_rank_cells`) generates everything and
     exchanges once, peaking at the rank's full generated volume.  The
     HavoqGT implementation instead sends edges *as they are produced*;
     this variant reproduces that shape: each generated chunk is routed to
     its storage owners immediately, so resident memory is bounded by
     roughly one chunk plus the rank's stored share.
 
-    On the fused ``source_block`` path each chunk leaves the generation
-    kernel already split by owner (one routed-kernel call per exchange
-    round); other combinations expand then bucket per chunk, sort-free
-    under ``"fused"`` and via stable argsort under ``"legacy"``.
+    Under ``source_block`` storage each chunk leaves the generation kernel
+    already split by owner (one routed-kernel call per exchange round);
+    under ``edge_hash`` each chunk is expanded, then bucketed sort-free.
 
     All ranks must agree on the number of exchange rounds; the round count
     is fixed up front by an allreduce over per-rank chunk counts, with
@@ -539,27 +472,26 @@ def generate_rank_1d_pipelined(
     exchange was in flight accumulates into the ``exchange.overlap_s``
     counter.
     """
-    _check_routing(routing)
     _check_pipeline(pipeline)
     _check_wire(wire)
     tel = telemetry_of(comm)
     acceptor = _make_acceptor(skg)
     part = parts_a[comm.rank]
     mb = el_b.m_directed
-    fused_routed = routing == "fused" and storage == "source_block"
+    routed = storage == "source_block"
     # The chunk count must match the generator's emission exactly.  The
     # routed iterator never splits one A-edge's expansion (routing needs
-    # whole-B runs); the legacy iterator sub-chunks it when mb > chunk_size.
-    if fused_routed:
+    # whole-B runs); the expanding iterator sub-chunks it when
+    # mb > chunk_size.
+    if routed:
         my_rounds = routed_chunk_count(part.m_directed, mb, chunk_size)
         chunks = iter_kron_product_routed(part, el_b, comm.size, n_c, chunk_size)
     else:
-        my_rounds = _legacy_chunk_count(part.m_directed, mb, chunk_size)
+        my_rounds = _expanded_chunk_count(part.m_directed, mb, chunk_size)
         chunks = iter_kron_product(part, el_b, chunk_size)
     all_rounds = comm.allreduce(my_rounds, max)
 
     empty_buckets = [_EMPTY] * comm.size
-    method = "scatter" if routing == "fused" else "argsort"
     stored: list[np.ndarray] = []
     generated = 0
 
@@ -569,21 +501,19 @@ def generate_rank_1d_pipelined(
         with tel.span("generate", cat="phase", round=_round):
             block = next(chunks, None)
             if block is not None and acceptor is not None:
-                if fused_routed:
+                if routed:
                     block = [acceptor.filter_edges(b) for b in block]
                 else:
                     block = acceptor.filter_edges(block)
-        if fused_routed:
+        if routed:
             outgoing = empty_buckets if block is None else block
             generated += sum(len(b) for b in outgoing)
             return outgoing
         if block is None:
             block = _EMPTY
         generated += len(block)
-        with tel.span("route", cat="phase", method=method):
-            return bucket_edges(
-                block, comm.size, scheme=storage, n=n_c, method=method
-            )
+        with tel.span("route", cat="phase"):
+            return bucket_edges(block, comm.size, scheme=storage, n=n_c)
 
     if comm.size == 1:
         for _round in range(all_rounds):

@@ -6,17 +6,14 @@ by some mapping scheme" (Section III).  The shuffle is deliberately
 independent of how edges were generated -- the modularity the paper calls
 out -- so both the 1-D and 2-D generators reuse it unchanged.
 
-Two bucketing kernels are provided:
-
-``method="scatter"`` (default):
-    a counting-sort scatter.  Owner ids are bounded by the world size, so
-    they fit a narrow integer dtype and numpy's stable small-integer sort is
-    a radix/counting sort -- O(m + nparts) instead of the O(m log m)
-    comparison argsort.  On a 1M-edge block with 8 owners this is ~3x the
-    legacy path (see ``benchmarks/bench_kernels.py``).
-``method="argsort"``:
-    the legacy stable comparison sort, kept selectable for A/B testing and
-    as the reference the property tests compare against.
+Bucketing is a counting-sort scatter (:func:`counting_scatter`).  Owner
+ids are bounded by the world size, so they fit a narrow integer dtype and
+numpy's stable small-integer sort is a radix/counting sort -- O(m +
+nparts) instead of the O(m log m) comparison argsort.  On a 1M-edge block
+with 8 owners this is ~3x the stable comparison argsort
+(``benchmarks/bench_kernels.py``), which no generation path calls: it is
+:func:`argsort_split`, the reference the property tests and the naive
+benchmark baseline compare against.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from repro.telemetry.session import telemetry_of
 
 __all__ = [
     "counting_scatter",
+    "argsort_split",
     "bucket_edges",
     "exchange_edges",
     "exchange_edges_start",
@@ -87,7 +85,7 @@ def counting_scatter(
     comparison sort.
 
     Stable (rows keep their relative order inside each bucket), so the
-    output is row-for-row identical to the legacy stable-argsort split.
+    output is row-for-row identical to :func:`argsort_split`.
     Returned buckets are views into one backing array -- treat them as
     read-only, like buffers received from :meth:`Communicator.alltoall`.
     """
@@ -96,6 +94,19 @@ def counting_scatter(
     counts = np.bincount(owners, minlength=nparts)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     return [sorted_rows[bounds[d] : bounds[d + 1]] for d in range(nparts)]
+
+
+def argsort_split(
+    rows: np.ndarray, owners: np.ndarray, nparts: int
+) -> list[np.ndarray]:
+    """Reference split of ``rows`` by ``owners``: stable comparison argsort.
+
+    The naive bucketing :func:`counting_scatter` replaces, kept as the
+    test oracle and benchmark baseline only.
+    """
+    order = np.argsort(owners, kind="stable")
+    counts = np.bincount(owners, minlength=nparts)
+    return np.split(rows[order], np.cumsum(counts)[:-1])
 
 
 def edge_owners(
@@ -134,25 +145,14 @@ def bucket_edges(
     scheme: str = "source_block",
     n: int | None = None,
     seed: int = 0,
-    method: str = "scatter",
 ) -> list[np.ndarray]:
-    """Split an edge block into per-owner buckets.
+    """Split an edge block into per-owner buckets (counting scatter).
 
-    See :func:`edge_owners` for the schemes and the module docstring for the
-    two bucketing ``method``s.  Both methods return identical bucket
-    contents in identical row order.
+    See :func:`edge_owners` for the schemes.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     owners = edge_owners(edges, nparts, scheme=scheme, n=n, seed=seed)
-    if method == "scatter":
-        return counting_scatter(edges, owners, nparts)
-    if method == "argsort":
-        order = np.argsort(owners, kind="stable")
-        sorted_edges = edges[order]
-        counts = np.bincount(owners, minlength=nparts)
-        splits = np.cumsum(counts)[:-1]
-        return np.split(sorted_edges, splits)
-    raise ValueError(f"unknown bucketing method {method!r}")
+    return counting_scatter(edges, owners, nparts)
 
 
 def _as_edge_block(blk: np.ndarray | None) -> np.ndarray | None:
@@ -284,12 +284,11 @@ def shuffle_to_owners(
     scheme: str = "source_block",
     n: int | None = None,
     seed: int = 0,
-    method: str = "scatter",
     wire: str = "raw",
 ) -> np.ndarray:
     """Bucket locally generated edges and exchange them in one collective."""
-    with telemetry_of(comm).span("route", cat="phase", method=method):
+    with telemetry_of(comm).span("route", cat="phase"):
         outgoing = bucket_edges(
-            edges, comm.size, scheme=scheme, n=n, seed=seed, method=method
+            edges, comm.size, scheme=scheme, n=n, seed=seed
         )
     return exchange_edges(comm, outgoing, wire=wire)

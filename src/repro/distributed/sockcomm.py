@@ -455,6 +455,19 @@ class SocketCommunicator(Communicator):
                 except OSError:  # pragma: no cover
                     pass
 
+    def settle(self) -> None:
+        """Wait for in-flight reconnects to finish (bounded by their budget).
+
+        Telemetry reads :attr:`sock_counters` once, at finalize.  A rank
+        whose own work ended while its heal thread was still re-dialing
+        would otherwise report the disconnect without the reconnect that
+        repaired it.
+        """
+        budget = _RECONNECT_FRACTION * recv_timeout()
+        for peer in self._peers.values():
+            if peer.healing:
+                peer.connected.wait(budget)
+
     # ---- fault-injection hooks ------------------------------------------
     def _fault_peer(self, peer_rank: int | None) -> _Peer:
         if peer_rank is None:

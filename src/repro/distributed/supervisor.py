@@ -349,10 +349,9 @@ def spmd_run_supervised(
 def generation_run_key(
     el_a: EdgeList,
     el_b: EdgeList,
-    nranks: int,
+    nranks: int | str,
     scheme: str,
     storage: str | None,
-    routing: str,
     chunk_size: int,
     *,
     pipeline: str = "sync",
@@ -372,11 +371,11 @@ def generation_run_key(
     (:meth:`repro.skg.model.SKGSpec.digest`, covering the seed matrix,
     ``skg_seed``, and noise parameters), so stochastic runs with
     different specs can never share checkpoints; exact keys are
-    unchanged.
+    unchanged.  ``nranks="*"`` gives :func:`generation_family_key`.
     """
     return (
         f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r{nranks}-{scheme}-{storage}-{routing}-c{chunk_size}"
+        f"-r{nranks}-{scheme}-{storage}-c{chunk_size}"
         f"-{pipeline}-{wire}{_model_token(model, skg)}"
     )
 
@@ -397,15 +396,10 @@ def generation_family_key(
     el_b: EdgeList,
     scheme: str,
     storage: str | None,
-    routing: str,
     chunk_size: int,
-    *,
-    pipeline: str = "sync",
-    wire: str = "raw",
-    model: str = "exact",
-    skg=None,
+    **options,
 ) -> str:
-    """The rank-count-independent part of :func:`generation_run_key`.
+    """:func:`generation_run_key` with ``r*`` for the rank count.
 
     Two run keys with the same family describe the same edge set sharded
     at different world sizes -- the elastic-resume compatibility class.
@@ -413,10 +407,8 @@ def generation_family_key(
     digest, since a stochastic run's edge set is a function of the spec;
     only ``r{nranks}`` (which changes *placement*) is wildcarded.
     """
-    return (
-        f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r*-{scheme}-{storage}-{routing}-c{chunk_size}"
-        f"-{pipeline}-{wire}{_model_token(model, skg)}"
+    return generation_run_key(
+        el_a, el_b, "*", scheme, storage, chunk_size, **options
     )
 
 
@@ -460,7 +452,6 @@ def generate_distributed_supervised(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
     model: str = "exact",
@@ -494,7 +485,7 @@ def generate_distributed_supervised(
     """
     if run_key is None and checkpoint_dir is not None:
         run_key = generation_run_key(
-            el_a, el_b, nranks, scheme, storage, routing, chunk_size,
+            el_a, el_b, nranks, scheme, storage, chunk_size,
             pipeline=pipeline, wire=wire, model=model, skg=skg,
         )
     # Rank programs without a storage exchange never touch the
@@ -516,7 +507,7 @@ def generate_distributed_supervised(
     pre_attempt = None
     if checkpoint_dir is not None and effective_storage is not None:
         family = generation_family_key(
-            el_a, el_b, scheme, storage, routing, chunk_size,
+            el_a, el_b, scheme, storage, chunk_size,
             pipeline=pipeline, wire=wire, model=model, skg=skg,
         )
         n_c = el_a.n * el_b.n
@@ -544,7 +535,6 @@ def generate_distributed_supervised(
         storage=storage,
         backend=backend,
         chunk_size=chunk_size,
-        routing=routing,
         pipeline=pipeline,
         wire=wire,
         model=model,
@@ -617,11 +607,10 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChaosOutcome:
-    """One (plan, backend, routing) cell of the chaos matrix."""
+    """One (plan, backend) cell of the chaos matrix."""
 
     plan: str
     backend: str
-    routing: str
     recovered: bool
     identical: bool
     attempts: int
@@ -652,7 +641,7 @@ class ChaosReport:
 
     def to_text(self) -> str:
         lines = [
-            f"{'plan':<16}{'backend':<9}{'routing':<9}"
+            f"{'plan':<16}{'backend':<9}"
             f"{'attempts':>9}{'elapsed':>9}  status"
         ]
         for o in self.outcomes:
@@ -663,7 +652,7 @@ class ChaosReport:
             else:
                 status = f"FAILED: {o.error}"
             lines.append(
-                f"{o.plan:<16}{o.backend:<9}{o.routing:<9}"
+                f"{o.plan:<16}{o.backend:<9}"
                 f"{o.attempts:>9}{o.elapsed_s:>8.2f}s  {status}"
             )
         good = sum(o.ok for o in self.outcomes)
@@ -677,7 +666,6 @@ class ChaosReport:
                 {
                     "plan": o.plan,
                     "backend": o.backend,
-                    "routing": o.routing,
                     "recovered": o.recovered,
                     "identical": o.identical,
                     "ok": o.ok,
@@ -718,7 +706,6 @@ def run_chaos_matrix(
     plans: list[FaultPlan] | None = None,
     seed: int = 0,
     backends: tuple[str, ...] = ("thread", "process"),
-    routings: tuple[str, ...] = ("fused", "legacy"),
     scheme: str = "1d",
     storage: str | None = "source_block",
     chunk_size: int = DEFAULT_CHUNK,
@@ -733,8 +720,7 @@ def run_chaos_matrix(
 ) -> ChaosReport:
     """Drive every fault plan against supervised generation.
 
-    For each plan x backend cell (routing rotates across cells so both
-    hot paths face every fault kind), run
+    For each plan x backend cell, run
     :func:`generate_distributed_supervised` under the plan and compare the
     recovered product -- in canonical edge order -- bit-for-bit against
     the fault-free reference.  ``recv_timeout_s`` pins
@@ -758,19 +744,16 @@ def run_chaos_matrix(
     """
     if plans is None:
         plans = default_fault_matrix(seed=seed, nranks=nranks)
-    references: dict[str, np.ndarray] = {}
-    for routing in routings:
-        el, _ = generate_distributed(
-            el_a, el_b, nranks, scheme=scheme, storage=storage,
-            backend="thread", chunk_size=chunk_size, routing=routing,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
-        )
-        references[routing] = canonical_edges(el.edges)
+    el, _ = generate_distributed(
+        el_a, el_b, nranks, scheme=scheme, storage=storage,
+        backend="thread", chunk_size=chunk_size,
+        pipeline=pipeline, wire=wire, model=model, skg=skg,
+    )
+    reference = canonical_edges(el.edges)
     report = ChaosReport()
     with _recv_timeout_env(recv_timeout_s):
         for i, plan in enumerate(plans):
-            for j, backend in enumerate(backends):
-                routing = routings[(i + j) % len(routings)]
+            for backend in backends:
                 sup = SupervisorReport()
                 checkpoint_dir = (
                     Path(checkpoint_root) / f"{i:02d}-{plan.label()}-{backend}"
@@ -787,7 +770,7 @@ def run_chaos_matrix(
                     el, _ = generate_distributed_supervised(
                         el_a, el_b, nranks, scheme=scheme, storage=storage,
                         backend=backend, chunk_size=chunk_size,
-                        routing=routing, pipeline=pipeline, wire=wire,
+                        pipeline=pipeline, wire=wire,
                         model=model, skg=skg,
                         fault_plan=plan, max_attempts=max_attempts,
                         checkpoint_dir=checkpoint_dir, report=sup,
@@ -800,7 +783,7 @@ def run_chaos_matrix(
                     report.outcomes.append(
                         ChaosOutcome(
                             plan=plan.label(), backend=backend,
-                            routing=routing, recovered=False,
+                            recovered=False,
                             identical=False, attempts=sup.attempts,
                             error=str(exc).splitlines()[0],
                             elapsed_s=monotonic() - t0,
@@ -809,11 +792,11 @@ def run_chaos_matrix(
                     )
                     continue
                 identical = np.array_equal(
-                    canonical_edges(el.edges), references[routing]
+                    canonical_edges(el.edges), reference
                 )
                 report.outcomes.append(
                     ChaosOutcome(
-                        plan=plan.label(), backend=backend, routing=routing,
+                        plan=plan.label(), backend=backend,
                         recovered=True, identical=identical,
                         attempts=sup.attempts,
                         elapsed_s=monotonic() - t0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "GraphFormatError",
+    "VertexIdOverflowError",
     "AssumptionError",
     "PartitionError",
     "CommunicatorError",
@@ -41,6 +42,15 @@ class GraphFormatError(ReproError):
 
     Raised for negative vertex ids, ragged arrays, out-of-range endpoints,
     or file parse failures.
+    """
+
+
+class VertexIdOverflowError(ReproError):
+    """A Kronecker product has too many vertices for int64 vertex ids.
+
+    Product vertex ids are ``int64``, so a product of ``2**63`` or more
+    vertices would silently wrap ids to negative values.  Raised before
+    any per-vertex array is built.
     """
 
 

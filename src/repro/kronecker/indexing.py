@@ -20,9 +20,15 @@ All maps are vectorized over numpy arrays.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
+
 import numpy as np
 
+from repro.errors import VertexIdOverflowError
+
 __all__ = [
+    "product_vertex_count",
     "alpha",
     "beta",
     "gamma",
@@ -32,6 +38,22 @@ __all__ = [
     "beta_1b",
     "gamma_1b",
 ]
+
+
+def product_vertex_count(sizes: Iterable[int]) -> int:
+    """Vertex count of the product of factors with ``sizes`` vertices.
+
+    Raises :class:`~repro.errors.VertexIdOverflowError` when the count
+    reaches ``2**63``: the product's int64 vertex ids would wrap.
+    """
+    sizes = [int(s) for s in sizes]
+    n = math.prod(sizes)
+    if n >= 1 << 63:
+        raise VertexIdOverflowError(
+            f"product of factor sizes {sizes} has {n} vertices; int64 "
+            f"vertex ids allow at most 2**63 - 1"
+        )
+    return n
 
 
 def alpha(p: np.ndarray | int, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.kronecker.indexing import gamma, split
+from repro.kronecker.indexing import gamma, product_vertex_count, split
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product, kron_product
 
 __all__ = ["KroneckerGraph"]
@@ -40,6 +40,7 @@ class KroneckerGraph:
     """
 
     def __init__(self, factor_a: EdgeList, factor_b: EdgeList) -> None:
+        product_vertex_count((factor_a.n, factor_b.n))
         self._el_a = factor_a.deduplicate()
         self._el_b = factor_b.deduplicate()
         self.csr_a = CSRGraph.from_edgelist(self._el_a)

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.indexing import product_vertex_count
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product, kron_product
 
 __all__ = [
@@ -57,11 +58,16 @@ def multi_split(p: np.ndarray | int, sizes: Sequence[int]) -> list[np.ndarray]:
 
 
 def multi_combine(coords: Sequence[np.ndarray | int], sizes: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`multi_split`."""
+    """Inverse of :func:`multi_split`.
+
+    Raises :class:`~repro.errors.VertexIdOverflowError` when the product
+    of ``sizes`` reaches ``2**63``, where combined ids would wrap.
+    """
     if len(coords) != len(sizes):
         raise GraphFormatError(
             f"{len(coords)} coordinates for {len(sizes)} factors"
         )
+    product_vertex_count(sizes)
     out = np.asarray(coords[0], dtype=np.int64)
     for c, n in zip(coords[1:], sizes[1:]):
         out = out * np.int64(n) + np.asarray(c, dtype=np.int64)
@@ -87,7 +93,9 @@ class KroneckerPowerGraph:
     """
 
     def __init__(self, factors: Sequence[EdgeList]) -> None:
-        self.factors = [f.deduplicate() for f in _check_factors(factors)]
+        factors = _check_factors(factors)
+        product_vertex_count(f.n for f in factors)
+        self.factors = [f.deduplicate() for f in factors]
         self.csrs = [CSRGraph.from_edgelist(f) for f in self.factors]
         self.sizes = [f.n for f in self.factors]
         self._loop_masks = [c.self_loop_mask() for c in self.csrs]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
-from repro.kronecker.indexing import combine_edges
+from repro.kronecker.indexing import combine_edges, product_vertex_count
 from repro.util.chunking import chunk_bounds
 
 __all__ = [
@@ -81,9 +81,12 @@ def kron_product(el_a: EdgeList, el_b: EdgeList) -> EdgeList:
     Semantics follow Def. 1 exactly: the output has one directed edge per
     (A-edge, B-edge) pair.  If both inputs are symmetric, the output is
     symmetric; self-loop structure composes as ``(i=j and k=l)``.
+    Raises :class:`~repro.errors.VertexIdOverflowError` when
+    ``n_A * n_B`` reaches ``2**63``.
     """
+    n_c = product_vertex_count((el_a.n, el_b.n))
     edges = kron_edge_block(el_a.edges, el_b.edges, el_b.n)
-    return EdgeList(edges, el_a.n * el_b.n)
+    return EdgeList(edges, n_c)
 
 
 def iter_kron_product(

@@ -28,7 +28,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.rules.common import (
+from repro.lint.ops import (
     INFLIGHT_OPS,
     MUTATOR_METHODS as _MUTATORS,
     RECEIVING_OPS,

@@ -26,7 +26,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.rules.common import COLLECTIVE_OPS, call_method, contains_rank_ref
+from repro.lint.ops import COLLECTIVE_OPS, call_method, contains_rank_ref
 
 __all__ = ["CollectiveSymmetryRule"]
 

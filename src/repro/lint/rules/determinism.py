@@ -25,7 +25,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.rules.common import attr_chain
+from repro.lint.ops import attr_chain
 
 __all__ = ["DeterminismRule"]
 

@@ -21,7 +21,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.rules.common import attr_chain, walk_scope as _walk_scope
+from repro.lint.ops import attr_chain, walk_scope as _walk_scope
 
 __all__ = ["DtypeOverflowRule"]
 

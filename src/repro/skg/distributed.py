@@ -7,7 +7,7 @@ product is the complete candidate space -- two complete-with-self-loops
 graphs on ``2**ka`` and ``2**kb`` vertices (``ka + kb = k``) produce
 every ordered pair of ``2**k`` vertices exactly once, with the A-factor
 supplying the high address bits (matching the model's level-0-is-MSB
-convention).  Everything else -- partitioning, fused routing, pipelined
+convention).  Everything else -- partitioning, owner routing, pipelined
 async exchange, varint wire, supervised retry, checkpointed and elastic
 resume -- is the machinery of PRs 1-8, reused verbatim through
 ``generate_distributed(..., model="skg")``.
@@ -55,7 +55,6 @@ def generate_skg_distributed(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
     runner=None,
@@ -65,7 +64,7 @@ def generate_skg_distributed(
 
     Thin wrapper: builds the candidate factors for ``spec.k`` and calls
     :func:`repro.distributed.generator.generate_distributed` with
-    ``model="skg"``.  All scheme/routing/pipeline/wire combinations of
+    ``model="skg"``.  All scheme/storage/pipeline/wire combinations of
     the exact generator are available and produce bit-identical edge
     sets for a fixed spec.
     """
@@ -81,7 +80,6 @@ def generate_skg_distributed(
         storage=storage,
         backend=backend,
         chunk_size=chunk_size,
-        routing=routing,
         pipeline=pipeline,
         wire=wire,
         model="skg",
@@ -99,7 +97,6 @@ def generate_skg_supervised(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
     fault_plan=None,
@@ -130,7 +127,6 @@ def generate_skg_supervised(
         storage=storage,
         backend=backend,
         chunk_size=chunk_size,
-        routing=routing,
         pipeline=pipeline,
         wire=wire,
         model="skg",

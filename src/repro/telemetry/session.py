@@ -210,6 +210,7 @@ class RankTelemetry:
         sc = getattr(comm, "sock_counters", None)
         if sc is None:
             return
+        comm.settle()
         for name in ("frames_sent", "frames_received", "deduplicated",
                      "replayed", "disconnects", "reconnects",
                      "heartbeats_sent", "heartbeats_received"):

@@ -92,8 +92,7 @@ class TestTraceCommand:
 class TestChaosJson:
     def test_json_report_shape(self, tmp_path, capsys):
         rc = main([
-            "chaos", "--ranks", "2", "--backends", "thread",
-            "--routings", "fused", "--json",
+            "chaos", "--ranks", "2", "--backends", "thread", "--json",
             "--checkpoint-root", str(tmp_path / "chk"),
         ])
         report = json.loads(capsys.readouterr().out)
@@ -101,7 +100,7 @@ class TestChaosJson:
         assert report["cells_total"] == len(report["cells"]) > 0
         cell = report["cells"][0]
         assert {
-            "plan", "backend", "routing", "recovered", "identical",
+            "plan", "backend", "recovered", "identical",
             "ok", "attempts", "elapsed_s", "error",
         } <= set(cell)
         assert cell["elapsed_s"] >= 0.0

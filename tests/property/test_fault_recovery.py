@@ -2,8 +2,8 @@
 
 For any seeded fault plan drawn from the chaos family, a supervised
 generation run on random small factors must converge to output
-bit-identical (canonical edge order) to the fault-free run -- across both
-routings on the thread backend, with explicit seeded process-backend
+bit-identical (canonical edge order) to the fault-free run -- under both
+storage maps on the thread backend, with explicit seeded process-backend
 cases (fork startup dominates, so hypothesis drives only the in-process
 backend).  This is the recovery analogue of the routed-equivalence
 property: fault injection plus retry is a no-op on the result.
@@ -63,17 +63,17 @@ def fast_timeouts(monkeypatch):
 
 
 class TestRecoveryIsBitExact:
-    @given(factors=factor_pair(), plan=fault_plan(), routing_bit=st.booleans())
+    @given(
+        factors=factor_pair(),
+        plan=fault_plan(),
+        storage=st.sampled_from(["source_block", "edge_hash"]),
+    )
     @settings(max_examples=20, deadline=None)
-    def test_thread_backend(self, factors, plan, routing_bit):
+    def test_thread_backend(self, factors, plan, storage):
         a, b = factors
-        routing = "fused" if routing_bit else "legacy"
-        ref, _ = generate_distributed(
-            a, b, NRANKS, storage="source_block", routing=routing
-        )
+        ref, _ = generate_distributed(a, b, NRANKS, storage=storage)
         el, _ = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block", routing=routing,
-            fault_plan=plan, max_attempts=4,
+            a, b, NRANKS, storage=storage, fault_plan=plan, max_attempts=4,
         )
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(ref.edges)
@@ -93,20 +93,17 @@ class TestRecoveryIsBitExact:
             canonical_edges(el.edges), canonical_edges(ref.edges)
         )
 
-    @pytest.mark.parametrize("routing", ["fused", "legacy"])
     @pytest.mark.parametrize(
         "plan_index", [0, 3, 11]  # crash-r0-op0, drop-r0-op1, dup+crash
     )
-    def test_process_backend_seeded(self, routing, plan_index):
+    def test_process_backend_seeded(self, plan_index):
         a, b = clique(4), cycle(5)
         plan = default_fault_matrix(seed=0, nranks=NRANKS)[plan_index]
-        ref, _ = generate_distributed(
-            a, b, NRANKS, storage="source_block", routing=routing
-        )
+        ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
         rep = SupervisorReport()
         el, _ = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block", routing=routing,
-            backend="process", fault_plan=plan, max_attempts=4, report=rep,
+            a, b, NRANKS, storage="source_block", backend="process",
+            fault_plan=plan, max_attempts=4, report=rep,
         )
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(ref.edges)

@@ -1,12 +1,14 @@
-"""Equivalence of the fused generate->route hot path with the legacy path.
+"""Equivalence of the fused generate->route hot path with a naive oracle.
 
 The routed kernels, the sort-free counting scatter, and the zero-copy
 shared-memory exchange are pure optimizations: for every scheme x storage x
-backend combination they must produce exactly the edge multiset of the
-legacy expand -> argsort-bucket -> pickle pipeline.  These tests pin that
-contract with hypothesis-driven factors plus a seeded sweep over the full
-combination grid (process-backend cases run once per combination -- fork
-startup dominates -- with the shared-memory threshold forced down so the
+backend combination each rank must store exactly the edge multiset that
+the serial product, split by the stable-argsort reference
+(:func:`repro.distributed.shuffle.argsort_split`) under the same storage
+map, assigns it.  These tests pin that contract with hypothesis-driven
+factors plus a seeded sweep over the full combination grid
+(process-backend cases run once per combination -- fork startup
+dominates -- with the shared-memory threshold forced down so the
 zero-copy path is actually exercised).
 """
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import generate_distributed
-from repro.distributed.shuffle import bucket_edges
+from repro.distributed.shuffle import argsort_split, bucket_edges, edge_owners
 from repro.graph import EdgeList, erdos_renyi
 from repro.kronecker import kron_product
 from repro.kronecker.product import kron_edge_block, kron_edge_block_routed
@@ -59,58 +61,62 @@ class TestBucketingEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_scatter_matches_argsort(self, edges, nparts, scheme):
-        """Sort-free bucketing is row-for-row identical to the argsort path."""
+        """Sort-free bucketing is row-for-row equal to the argsort split."""
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        legacy = bucket_edges(arr, nparts, scheme=scheme, n=200, method="argsort")
-        fast = bucket_edges(arr, nparts, scheme=scheme, n=200, method="scatter")
-        assert len(legacy) == len(fast) == nparts
-        for lo, hi in zip(legacy, fast):
+        owners = edge_owners(arr, nparts, scheme=scheme, n=200)
+        oracle = argsort_split(arr, owners, nparts)
+        fast = bucket_edges(arr, nparts, scheme=scheme, n=200)
+        assert len(oracle) == len(fast) == nparts
+        for lo, hi in zip(oracle, fast):
             assert np.array_equal(lo, hi)
 
     @given(pair=small_factor_pair(), nparts=st.integers(min_value=1, max_value=7))
     @settings(max_examples=40, deadline=None)
     def test_routed_kernel_matches_expand_then_bucket(self, pair, nparts):
-        """The analytic router emits exactly the legacy buckets (as multisets)."""
+        """The analytic router emits exactly the oracle buckets (multisets)."""
         a, b = pair
         n_c = a.n * b.n
         dense = kron_edge_block(a.edges, b.edges, b.n)
-        legacy = bucket_edges(
-            dense, nparts, scheme="source_block", n=n_c, method="argsort"
-        )
+        owners = edge_owners(dense, nparts, scheme="source_block", n=n_c)
+        oracle = argsort_split(dense, owners, nparts)
         routed = kron_edge_block_routed(a.edges, b.edges, b.n, nparts, n_c)
-        for lo, ro in zip(legacy, routed):
+        for lo, ro in zip(oracle, routed):
             assert np.array_equal(
                 edge_key_sorted(lo, n_c), edge_key_sorted(ro, n_c)
             )
 
 
+@pytest.fixture(scope="module")
+def factors():
+    return erdos_renyi(9, 0.4, seed=2024), erdos_renyi(7, 0.5, seed=7)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("nranks", [2, 4, 5])
+def test_placement_matches_oracle(factors, scheme, storage, nranks):
+    """Each rank stores exactly its share of the serial product.
+
+    The share is the serial product split by the argsort reference under
+    the same storage map (thread backend, every scheme x storage).
+    """
+    a, b = factors
+    expect = kron_product(a, b)
+    got, outputs = generate_distributed(
+        a, b, nranks, scheme=scheme, storage=storage
+    )
+    assert got == expect
+    owners = edge_owners(expect.edges, nranks, scheme=storage, n=expect.n)
+    oracle = argsort_split(expect.edges, owners, nranks)
+    assert [o.rank for o in outputs] == list(range(nranks))
+    for out, share in zip(outputs, oracle):
+        assert np.array_equal(
+            edge_key_sorted(out.edges, expect.n),
+            edge_key_sorted(share, expect.n),
+        )
+
+
 class TestGenerationEquivalence:
-    """Fused vs legacy routing across scheme x storage (thread backend)."""
-
-    @pytest.fixture(scope="class")
-    def factors(self):
-        return erdos_renyi(9, 0.4, seed=2024), erdos_renyi(7, 0.5, seed=7)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("storage", STORAGES)
-    @pytest.mark.parametrize("nranks", [2, 4, 5])
-    def test_fused_equals_legacy_thread(self, factors, scheme, storage, nranks):
-        a, b = factors
-        expect = kron_product(a, b)
-        results = {}
-        for routing in ("fused", "legacy"):
-            got, outputs = generate_distributed(
-                a, b, nranks, scheme=scheme, storage=storage, routing=routing
-            )
-            assert got == expect
-            # per-rank stored sets must also agree (same storage map)
-            results[routing] = [
-                edge_key_sorted(o.edges, expect.n) for o in outputs
-            ]
-            assert sum(len(o.edges) for o in outputs) == expect.m_directed
-        for fused_rank, legacy_rank in zip(results["fused"], results["legacy"]):
-            assert np.array_equal(fused_rank, legacy_rank)
-
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("storage", STORAGES)
     def test_tiny_chunks_fused(self, factors, scheme, storage):
@@ -118,7 +124,6 @@ class TestGenerationEquivalence:
         a, b = factors
         got, _ = generate_distributed(
             a, b, 3, scheme=scheme, storage=storage, chunk_size=11,
-            routing="fused",
         )
         assert got == kron_product(a, b)
 
@@ -136,19 +141,8 @@ def test_fused_process_backend_zero_copy(monkeypatch, scheme, storage):
     expect = kron_product(a, b)
     got, _ = generate_distributed(
         a, b, 3, scheme=scheme, storage=storage, backend="process",
-        routing="fused",
     )
     assert got == expect
-
-
-def test_legacy_process_backend_matches(monkeypatch):
-    monkeypatch.setattr(mpcomm, "SHM_MIN_BYTES", 1)
-    a, b = erdos_renyi(8, 0.5, seed=99), erdos_renyi(6, 0.5, seed=100)
-    got, _ = generate_distributed(
-        a, b, 2, scheme="1d", storage="source_block", backend="process",
-        routing="legacy",
-    )
-    assert got == kron_product(a, b)
 
 
 def test_routed_kernel_empty_blocks():

@@ -68,12 +68,12 @@ class TestElasticResume:
         _supervised(factors, 4, tmp_path)
         store = CheckpointStore(tmp_path)
         family = generation_family_key(
-            a, b, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, "1d", "source_block", DEFAULT_CHUNK
         )
         manifests = [m for m in store.manifests() if m.family == family]
         assert len(manifests) == 1 and manifests[0].nranks == 4
         new_key = generation_run_key(
-            a, b, 2, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, 2, "1d", "source_block", DEFAULT_CHUNK
         )
         resharded = reshard_run(
             store,
@@ -141,7 +141,7 @@ class TestCheckpointCorruption:
         el_ref, _ = _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
         run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, 3, "1d", "source_block", DEFAULT_CHUNK
         )
         path = store._path(f"{run_key}.rank00001")
         assert path.exists()
@@ -161,7 +161,7 @@ class TestCheckpointCorruption:
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
         run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, 3, "1d", "source_block", DEFAULT_CHUNK
         )
         manifest = store.get_manifest(run_key)
         assert manifest is not None
@@ -186,7 +186,7 @@ class TestCheckpointCorruption:
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
         run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, 3, "1d", "source_block", DEFAULT_CHUNK
         )
         store.put(
             f"{run_key}.rank00002", np.array([[9, 9]], dtype=np.int64)
@@ -204,7 +204,7 @@ class TestCheckpointCorruption:
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
         run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
+            a, b, 3, "1d", "source_block", DEFAULT_CHUNK
         )
         manifest = store.get_manifest(run_key)
         forged = RunManifest(

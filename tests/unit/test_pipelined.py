@@ -74,12 +74,10 @@ class TestPipelined1D:
 
 class TestAsyncPipeline:
     @pytest.mark.parametrize("wire", ["raw", "varint"])
-    @pytest.mark.parametrize("routing", ["fused", "legacy"])
-    def test_matches_serial(self, factors, wire, routing):
+    def test_matches_serial(self, factors, wire):
         a, b = factors
         got, _ = generate_distributed(
-            a, b, 4, scheme="1d-pipelined", routing=routing,
-            pipeline="async", wire=wire,
+            a, b, 4, scheme="1d-pipelined", pipeline="async", wire=wire,
         )
         assert got == kron_product(a, b)
 
@@ -158,7 +156,7 @@ class TestAsyncPipeline:
         a, b = factors
         keys = {
             generation_run_key(
-                a, b, 4, "1d-pipelined", "source_block", "fused", 1 << 14,
+                a, b, 4, "1d-pipelined", "source_block", 1 << 14,
                 pipeline=p, wire=w,
             )
             for p in ("sync", "async")

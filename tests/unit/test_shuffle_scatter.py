@@ -9,8 +9,10 @@ from repro.distributed.partition import (
     vertex_block_bounds,
 )
 from repro.distributed.shuffle import (
+    argsort_split,
     bucket_edges,
     counting_scatter,
+    edge_owners,
     exchange_edges,
 )
 from repro.errors import PartitionError
@@ -22,10 +24,7 @@ class TestCountingScatter:
         rows = rng.integers(0, 1000, size=(5000, 2), dtype=np.int64)
         owners = rng.integers(0, 11, size=5000, dtype=np.int64)
         got = counting_scatter(rows, owners, 11)
-        order = np.argsort(owners, kind="stable")
-        expect = np.split(
-            rows[order], np.cumsum(np.bincount(owners, minlength=11))[:-1]
-        )
+        expect = argsort_split(rows, owners, 11)
         assert len(got) == 11
         for g, e in zip(got, expect):
             assert np.array_equal(g, e)
@@ -52,18 +51,14 @@ class TestCountingScatter:
 
 
 class TestBucketEdges:
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            bucket_edges(
-                np.zeros((1, 2), dtype=np.int64), 2, n=4, method="quantum"
-            )
-
     def test_methods_agree_both_schemes(self):
+        """bucket_edges (counting scatter) equals the argsort reference."""
         rng = np.random.default_rng(11)
         edges = rng.integers(0, 300, size=(2000, 2), dtype=np.int64)
         for scheme in ("source_block", "edge_hash"):
-            a = bucket_edges(edges, 5, scheme=scheme, n=300, method="argsort")
-            s = bucket_edges(edges, 5, scheme=scheme, n=300, method="scatter")
+            owners = edge_owners(edges, 5, scheme=scheme, n=300)
+            a = argsort_split(edges, owners, 5)
+            s = bucket_edges(edges, 5, scheme=scheme, n=300)
             for x, y in zip(a, s):
                 assert np.array_equal(x, y)
 

@@ -2,7 +2,7 @@
 
 The stochastic tier's one promise is that a fixed ``(seed_matrix,
 skg_seed)`` names *one* graph, no matter how the candidate space is
-enumerated: every scheme x storage x routing x pipeline x wire x
+enumerated: every scheme x storage x pipeline x wire x
 backend combination, supervised retry under faults, and checkpointed
 elastic re-sharding must reproduce the serial oracle bit-for-bit.
 Also covers the run-key digest folding, telemetry counters, the
@@ -85,10 +85,6 @@ class TestDistributedBitIdentity:
         )
         check(el, oracle)
 
-    def test_legacy_routing(self, oracle):
-        el, _ = generate_skg_distributed(SPEC, 4, routing="legacy")
-        check(el, oracle)
-
     def test_process_backend(self, oracle):
         el, _ = generate_skg_distributed(SPEC, 2, backend="process")
         check(el, oracle)
@@ -117,7 +113,7 @@ class TestDistributedBitIdentity:
 class TestRunKeys:
     def test_digest_folds_into_run_and_family_keys(self):
         a, b = skg_candidate_factors(SPEC.k)
-        args = (a, b, 4, "1d", "source_block", "fused", DEFAULT_CHUNK)
+        args = (a, b, 4, "1d", "source_block", DEFAULT_CHUNK)
         exact = generation_run_key(*args)
         skg = generation_run_key(*args, model="skg", skg=SPEC)
         other = generation_run_key(
@@ -127,7 +123,7 @@ class TestRunKeys:
         assert len({exact, skg, other}) == 3
         assert f"{SPEC.digest():016x}" in skg
         fam = generation_family_key(
-            a, b, "1d", "source_block", "fused", DEFAULT_CHUNK,
+            a, b, "1d", "source_block", DEFAULT_CHUNK,
             model="skg", skg=SPEC,
         )
         assert f"{SPEC.digest():016x}" in fam
@@ -136,7 +132,7 @@ class TestRunKeys:
         a, b = skg_candidate_factors(SPEC.k)
         with pytest.raises(ReproError, match="requires an SKG spec"):
             generation_run_key(
-                a, b, 4, "1d", "source_block", "fused", DEFAULT_CHUNK,
+                a, b, 4, "1d", "source_block", DEFAULT_CHUNK,
                 model="skg",
             )
 

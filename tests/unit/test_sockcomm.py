@@ -120,6 +120,16 @@ class TestSelfHealing:
             >= 1
         )
 
+    def test_settle_waits_for_own_heal(self, world3):
+        # The dialer (rank 2) severs its own link; its next send fails on
+        # the closed socket and starts the heal.  settle() must not return
+        # before that reconnect, so counters read right after include it.
+        world3[2].inject_disconnect(1)
+        world3[2].send("wake", 1)
+        world3[2].settle()
+        assert world3[2].sock_counters.reconnects == 1
+        assert world3[1].recv(2) == "wake"
+
     def test_heartbeat_acks_prune_replay(self, world3):
         for i in range(4):
             world3[0].send(i, 1)

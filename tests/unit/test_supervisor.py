@@ -17,6 +17,7 @@ from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
     generate_distributed_supervised,
+    generation_family_key,
     generation_run_key,
     spmd_run_supervised,
 )
@@ -186,10 +187,17 @@ class TestCheckpointing:
 
     def test_run_key_separates_configurations(self):
         a, b = clique(3), cycle(4)
-        k1 = generation_run_key(a, b, 4, "1d", "source_block", "fused", 100)
-        k2 = generation_run_key(a, b, 4, "1d", "source_block", "legacy", 100)
-        k3 = generation_run_key(a, b, 2, "1d", "source_block", "fused", 100)
+        k1 = generation_run_key(a, b, 4, "1d", "source_block", 100)
+        k2 = generation_run_key(a, b, 4, "1d", "edge_hash", 100)
+        k3 = generation_run_key(a, b, 2, "1d", "source_block", 100)
         assert len({k1, k2, k3}) == 3
+
+    def test_family_key_wildcards_rank_count(self):
+        a, b = clique(3), cycle(4)
+        family = generation_family_key(a, b, "1d", "source_block", 100)
+        for nranks in (2, 4):
+            key = generation_run_key(a, b, nranks, "1d", "source_block", 100)
+            assert key.replace(f"-r{nranks}-", "-r*-") == family
 
 
 class TestSupervisedGeneration:
