@@ -92,7 +92,7 @@ def _timed_rank(comm, cells, n_c, chunk_size, skg):
     comm.barrier()
     t0 = perf_clock()
     out = generate_rank_cells(
-        comm, cells, n_c, "edge_hash", chunk_size, "raw", skg
+        comm, cells, n_c, "edge_hash", chunk_size, skg=skg
     )
     comm.barrier()
     return perf_clock() - t0, len(out.edges)

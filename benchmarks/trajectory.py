@@ -1,8 +1,8 @@
 """Generation perf trajectory: one JSON snapshot per run_benchmarks.sh run.
 
 Runs the distributed generation kernel under a telemetry session --
-the batch rank program and the async double-buffered pipeline on the
-same factor pair -- and writes ``BENCH_generation.json`` (repo root by
+the rank program with its sync and its async double-buffered pipeline
+on the same factor pair -- and writes ``BENCH_generation.json`` (repo root by
 default) with the numbers the project tracks release over release:
 
 * ``edges_per_s``: product edges generated per second of *kernel* wall
@@ -44,10 +44,7 @@ import platform
 from functools import partial
 from pathlib import Path
 
-from repro.distributed.generator import (
-    generate_rank_1d_pipelined,
-    generate_rank_cells,
-)
+from repro.distributed.generator import generate_rank_cells
 from repro.distributed.launcher import spmd_run
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.partition import partition_edges_1d
@@ -77,33 +74,18 @@ NETWORK = NetworkModel(bandwidth=2e6, latency=100e-6)
 CASES = {
     "fused": {},
     "pipelined-async": {
-        "scheme": "1d-pipelined",
         "pipeline": "async",
         "wire": "varint",
     },
 }
 
 
-def _timed_rank_1d(comm, parts_a, el_b, n_c, chunk_size, wire):
-    """Barrier-bracketed kernel timing around the batch rank program."""
-    cells = [[(part, el_b)] for part in parts_a]
+def _timed_rank(comm, cells, n_c, chunk_size, pipeline, wire):
+    """Barrier-bracketed kernel timing around the rank program."""
     comm.barrier()
     t0 = perf_clock()
     out = generate_rank_cells(
-        comm, cells, n_c, "source_block", chunk_size, wire
-    )
-    comm.barrier()
-    return perf_clock() - t0, len(out.edges)
-
-
-def _timed_rank_pipelined(
-    comm, parts_a, el_b, n_c, chunk_size, pipeline, wire
-):
-    """Barrier-bracketed kernel timing around the pipelined generator."""
-    comm.barrier()
-    t0 = perf_clock()
-    out = generate_rank_1d_pipelined(
-        comm, parts_a, el_b, n_c, "source_block", chunk_size, pipeline, wire
+        comm, cells, n_c, "source_block", chunk_size, pipeline, wire
     )
     comm.barrier()
     return perf_clock() - t0, len(out.edges)
@@ -119,28 +101,20 @@ def run_case(
     repeat: int,
     stat: str = "best",
     *,
-    scheme: str = "1d",
     pipeline: str = "sync",
     wire: str = "raw",
 ) -> dict:
     """``stat``-of-``repeat`` traced kernel runs of one configuration."""
-    parts_a = partition_edges_1d(a, ranks)
+    cells = [[(part, b)] for part in partition_edges_1d(a, ranks)]
     n_c = a.n * b.n
     wrap = partial(ThrottledCommunicator, model=NETWORK)
     runs = []
     for _ in range(repeat):
         session = TelemetrySession()
-        if scheme == "1d-pipelined":
-            results = spmd_run(
-                _timed_rank_pipelined, ranks, parts_a, b, n_c, chunk_size,
-                pipeline, wire,
-                backend=backend, wrap_comm=wrap, telemetry=session,
-            )
-        else:
-            results = spmd_run(
-                _timed_rank_1d, ranks, parts_a, b, n_c, chunk_size, wire,
-                backend=backend, wrap_comm=wrap, telemetry=session,
-            )
+        results = spmd_run(
+            _timed_rank, ranks, cells, n_c, chunk_size, pipeline, wire,
+            backend=backend, wrap_comm=wrap, telemetry=session,
+        )
         wall_s = max(w for w, _ in results)
         edges = sum(m for _, m in results)
         counters = session.aggregated_metrics()["counters"]
@@ -148,7 +122,7 @@ def run_case(
         wait_s = float(counters.get("comm.wait.seconds.total", 0.0))
         runs.append({
             "case": name,
-            "scheme": scheme,
+            "scheme": "1d",
             "pipeline": pipeline,
             "wire": wire,
             "edges": edges,

@@ -282,7 +282,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         pipeline=args.pipeline,
         wire=args.wire,
-        model=args.model,
         skg=spec,
         recv_timeout_s=args.timeout,
         max_attempts=args.max_attempts,
@@ -679,11 +678,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0, help="fault-matrix seed")
     c.add_argument("--backends", default="thread,process",
                    help="comma-separated launcher backends to exercise")
-    c.add_argument("--scheme", choices=("1d", "1d-pipelined", "2d"),
+    c.add_argument("--scheme", choices=("1d", "2d"),
                    default="1d", help="generation scheme under test")
     c.add_argument("--pipeline", choices=("sync", "async"), default="sync",
-                   help="exchange pipeline (async needs --scheme "
-                        "1d-pipelined)")
+                   help="exchange pipeline")
     c.add_argument("--wire", choices=("raw", "varint"), default="raw",
                    help="edge wire format for every exchange")
     c.add_argument("--model", choices=("exact", "skg"), default="exact",
@@ -736,13 +734,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--self-loops", action="store_true",
                     help="add a self loop on every factor vertex")
     tr.add_argument("--ranks", type=int, default=8, help="world size")
-    tr.add_argument("--scheme", choices=("1d", "1d-pipelined", "2d"),
-                    default="1d")
+    tr.add_argument("--scheme", choices=("1d", "2d"), default="1d")
     tr.add_argument("--storage", choices=("source_block", "edge_hash"),
                     default="source_block")
     tr.add_argument("--pipeline", choices=("sync", "async"), default="sync",
-                    help="exchange pipeline (async needs --scheme "
-                         "1d-pipelined)")
+                    help="exchange pipeline")
     tr.add_argument("--wire", choices=("raw", "varint"), default="raw",
                     help="edge wire format for every exchange")
     tr.add_argument("--backend",

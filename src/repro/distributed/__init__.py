@@ -53,14 +53,12 @@ from repro.distributed.shuffle import (
     exchange_edges,
     exchange_edges_finish,
     exchange_edges_start,
-    shuffle_to_owners,
 )
 from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.generator import (
     RankOutput,
     generate_rank_cells,
-    generate_rank_1d_pipelined,
     generate_distributed,
 )
 from repro.distributed.aggregate import (
@@ -126,7 +124,6 @@ __all__ = [
     "exchange_edges",
     "exchange_edges_start",
     "exchange_edges_finish",
-    "shuffle_to_owners",
     "WIRE_FORMATS",
     "encode_edges",
     "decode_edges",
@@ -135,7 +132,6 @@ __all__ = [
     "ThrottledCommunicator",
     "RankOutput",
     "generate_rank_cells",
-    "generate_rank_1d_pipelined",
     "generate_distributed",
     "ShardManifest",
     "generate_to_directory",

@@ -24,6 +24,7 @@ from repro.distributed.launcher import spmd_run
 from repro.distributed.partition import partition_edges_1d, partition_edges_2d
 from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.indexing import product_vertex_count
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product
 
 __all__ = ["ShardManifest", "generate_to_directory"]
@@ -115,7 +116,11 @@ def generate_to_directory(
     the stochastic tier's acceptance hash -- the factors must then
     enumerate the spec's candidate space
     (:func:`repro.skg.distributed.skg_candidate_factors`).
+
+    Raises :class:`~repro.errors.VertexIdOverflowError` before launching
+    any rank when ``n_A * n_B`` reaches ``2**63``.
     """
+    product_vertex_count((el_a.n, el_b.n))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if scheme == "1d":

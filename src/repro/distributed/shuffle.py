@@ -23,7 +23,7 @@ import numpy as np
 from repro.distributed.comm import Communicator, Request
 from repro.distributed.partition import owners_by_edge_hash, owners_by_vertex_block
 from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, PartitionError
 from repro.telemetry.session import telemetry_of
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "exchange_edges",
     "exchange_edges_start",
     "exchange_edges_finish",
-    "shuffle_to_owners",
     "WIRE_FORMATS",
 ]
 
@@ -45,8 +44,8 @@ WIRE_FORMATS = ("raw", "varint")
 
 def _check_wire(wire: str) -> None:
     if wire not in WIRE_FORMATS:
-        raise ValueError(
-            f"unknown wire format {wire!r}; expected one of {WIRE_FORMATS}"
+        raise PartitionError(
+            f"unknown wire format {wire!r}; use one of {WIRE_FORMATS}"
         )
 
 
@@ -275,20 +274,3 @@ def exchange_edges_finish(comm: Communicator, request: Request) -> np.ndarray:
         received = _stack_received(incoming)
     tel.add("edges.received", len(received))
     return received
-
-
-def shuffle_to_owners(
-    comm: Communicator,
-    edges: np.ndarray,
-    *,
-    scheme: str = "source_block",
-    n: int | None = None,
-    seed: int = 0,
-    wire: str = "raw",
-) -> np.ndarray:
-    """Bucket locally generated edges and exchange them in one collective."""
-    with telemetry_of(comm).span("route", cat="phase"):
-        outgoing = bucket_edges(
-            edges, comm.size, scheme=scheme, n=n, seed=seed
-        )
-    return exchange_edges(comm, outgoing, wire=wire)

@@ -354,9 +354,7 @@ def generation_run_key(
     storage: str | None,
     chunk_size: int,
     *,
-    pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
 ) -> str:
     """Content-addressed signature of one generation configuration.
@@ -364,31 +362,21 @@ def generation_run_key(
     Folds the factor edge digests and every parameter that affects shard
     contents or row order, so a resumed run can never consume checkpoints
     written under a different configuration.  ``wire`` matters because the
-    varint codec re-sorts each exchanged block (shard row order changes);
-    ``pipeline`` is included for symmetry even though sync and async are
-    bit-identical -- run keys identify configurations, not equivalence
-    classes.  ``model="skg"`` appends the spec digest
+    varint codec re-sorts each exchanged block (shard row order changes).
+    ``pipeline`` is left out: sync and async store bit-identical shards,
+    so one checkpoint serves both.  An ``skg`` spec appends its digest
     (:meth:`repro.skg.model.SKGSpec.digest`, covering the seed matrix,
     ``skg_seed``, and noise parameters), so stochastic runs with
-    different specs can never share checkpoints; exact keys are
-    unchanged.  ``nranks="*"`` gives :func:`generation_family_key`.
+    different specs can never share checkpoints; exact keys carry no
+    model token.  ``nranks="*"`` gives :func:`generation_family_key`.
     """
-    return (
+    key = (
         f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r{nranks}-{scheme}-{storage}-c{chunk_size}"
-        f"-{pipeline}-{wire}{_model_token(model, skg)}"
+        f"-r{nranks}-{scheme}-{storage}-c{chunk_size}-{wire}"
     )
-
-
-def _model_token(model: str, skg) -> str:
-    """Run-key suffix identifying the generation model (empty for exact)."""
-    if model == "exact" and skg is None:
-        return ""
-    if skg is None:
-        raise CheckpointError(
-            f"model {model!r} requires an SKG spec for run-key derivation"
-        )
-    return f"-skg{skg.digest():016x}"
+    if skg is not None:
+        key += f"-skg{skg.digest():016x}"
+    return key
 
 
 def generation_family_key(
@@ -454,7 +442,6 @@ def generate_distributed_supervised(
     chunk_size: int = DEFAULT_CHUNK,
     pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
     fault_plan: FaultPlan | None = None,
     max_attempts: int = 3,
@@ -486,34 +473,25 @@ def generate_distributed_supervised(
     if run_key is None and checkpoint_dir is not None:
         run_key = generation_run_key(
             el_a, el_b, nranks, scheme, storage, chunk_size,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
+            wire=wire, skg=skg,
         )
-    # Rank programs without a storage exchange never touch the
-    # communicator, so their shards resume independently; routed programs
+    # Without a storage exchange the rank program never touches the
+    # communicator, so its shards resume independently; routed programs
     # must keep the exchange symmetric across ranks.
-    shard_mode = (
-        "independent"
-        if storage is None and scheme in ("1d", "2d")
-        else "collective"
-    )
+    shard_mode = "independent" if storage is None else "collective"
     # Elastic resume needs an ownership map, which only storage-routed
     # shards have (storage=None shards live where the *partition* put
-    # them, a function of the old rank count).  1d-pipelined defaults its
-    # storage to source_block inside the generator; mirror that here.
-    effective_storage = storage
-    if scheme == "1d-pipelined" and storage is None:
-        effective_storage = "source_block"
+    # them, a function of the old rank count).
     family = None
     pre_attempt = None
-    if checkpoint_dir is not None and effective_storage is not None:
+    if checkpoint_dir is not None and storage is not None:
         family = generation_family_key(
-            el_a, el_b, scheme, storage, chunk_size,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
+            el_a, el_b, scheme, storage, chunk_size, wire=wire, skg=skg,
         )
         n_c = el_a.n * el_b.n
         pre_attempt = functools.partial(
             _elastic_pre_attempt, checkpoint_dir, run_key, family, nranks,
-            effective_storage, n_c, telemetry,
+            storage, n_c, telemetry,
         )
     runner = functools.partial(
         spmd_run_supervised,
@@ -537,7 +515,6 @@ def generate_distributed_supervised(
         chunk_size=chunk_size,
         pipeline=pipeline,
         wire=wire,
-        model=model,
         skg=skg,
         runner=runner,
         telemetry=telemetry,
@@ -711,7 +688,6 @@ def run_chaos_matrix(
     chunk_size: int = DEFAULT_CHUNK,
     pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
     recv_timeout_s: float | None = 2.0,
     max_attempts: int = 4,
@@ -726,9 +702,8 @@ def run_chaos_matrix(
     the fault-free reference.  ``recv_timeout_s`` pins
     ``REPRO_RECV_TIMEOUT`` for the duration so dropped-message timeouts
     resolve in seconds, not minutes.  ``pipeline``/``wire`` select the
-    async double-buffered loop and the varint wire format
-    (``scheme="1d-pipelined"`` required for ``pipeline="async"``), so the
-    matrix can prove fault recovery for the split-phase exchange too.
+    async double-buffered loop and the varint wire format, so the matrix
+    can prove fault recovery for the split-phase exchange too.
 
     A ``"socket"`` entry in ``backends`` runs those cells over the TCP
     backend with a per-cell telemetry session, and the outcome carries the
@@ -736,7 +711,7 @@ def run_chaos_matrix(
     so the JSON report shows not just that a cell recovered but how much
     wire-level repair the recovery took.
 
-    ``model="skg"`` (with an :class:`repro.skg.model.SKGSpec`) runs every
+    An ``skg`` spec (an :class:`repro.skg.model.SKGSpec`) runs every
     cell through the stochastic acceptance filter: the fault-free
     references and all recovered cells then prove that seeded Bernoulli
     acceptance -- not just exact enumeration -- survives crashes, drops,
@@ -747,7 +722,7 @@ def run_chaos_matrix(
     el, _ = generate_distributed(
         el_a, el_b, nranks, scheme=scheme, storage=storage,
         backend="thread", chunk_size=chunk_size,
-        pipeline=pipeline, wire=wire, model=model, skg=skg,
+        pipeline=pipeline, wire=wire, skg=skg,
     )
     reference = canonical_edges(el.edges)
     report = ChaosReport()
@@ -770,8 +745,7 @@ def run_chaos_matrix(
                     el, _ = generate_distributed_supervised(
                         el_a, el_b, nranks, scheme=scheme, storage=storage,
                         backend=backend, chunk_size=chunk_size,
-                        pipeline=pipeline, wire=wire,
-                        model=model, skg=skg,
+                        pipeline=pipeline, wire=wire, skg=skg,
                         fault_plan=plan, max_attempts=max_attempts,
                         checkpoint_dir=checkpoint_dir, report=sup,
                         telemetry=tel,

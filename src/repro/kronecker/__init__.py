@@ -11,7 +11,6 @@ from repro.kronecker.product import (
     plan_route_b,
     kron_edge_block_routed,
     kron_routed_full,
-    iter_kron_product_routed,
 )
 from repro.kronecker.operators import (
     SelfLoopRegime,
@@ -50,7 +49,6 @@ __all__ = [
     "plan_route_b",
     "kron_edge_block_routed",
     "kron_routed_full",
-    "iter_kron_product_routed",
     "SelfLoopRegime",
     "kron_with_full_loops",
     "undirected_edge_count_with_loops",

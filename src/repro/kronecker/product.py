@@ -37,8 +37,6 @@ __all__ = [
     "plan_route_b",
     "kron_edge_block_routed",
     "kron_routed_full",
-    "iter_kron_product_routed",
-    "routed_chunk_count",
 ]
 
 #: Default number of product edges materialized per streamed chunk.
@@ -253,10 +251,10 @@ def kron_routed_full(
 ) -> list[np.ndarray]:
     """Full routed product ``A (x) B``: exact-size per-owner arrays.
 
-    Equivalent to concatenating every chunk of
-    :func:`iter_kron_product_routed`, but each owner's total is computed
-    analytically up front so its array is allocated exactly once and filled
-    in place chunk by chunk -- no per-owner concatenation, no resize.
+    Same buckets as :func:`kron_edge_block_routed` over all of A, but
+    each owner's total is computed analytically up front so its array is
+    allocated exactly once and filled in place, ``max(1, chunk_size //
+    m_B)`` A-edges at a time -- no per-owner concatenation, no resize.
     """
     from repro.distributed.partition import vertex_block_bounds
 
@@ -287,40 +285,6 @@ def kron_routed_full(
             )
             fill[d] += c
     return outs
-
-
-def iter_kron_product_routed(
-    el_a: EdgeList,
-    el_b: EdgeList,
-    nparts: int,
-    n_c: int,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> Iterator[list[np.ndarray]]:
-    """Stream the routed product: one per-owner bucket list per A-chunk.
-
-    Each yield covers ``max(1, chunk_size // m_B)`` A-edges' full expansion,
-    split by owner; chunks therefore hold at most ``max(chunk_size, m_B)``
-    edges (a single A-edge's expansion is never split, unlike
-    :func:`iter_kron_product`, because routing operates on whole B).  The
-    pipelined generator exchanges each yield immediately -- the paper's
-    send-as-you-generate shape with the bucketing cost fused away.
-    """
-    ma, mb = el_a.m_directed, el_b.m_directed
-    if ma == 0 or mb == 0:
-        return
-    plan = plan_route_b(el_b.edges)
-    a_per_chunk = max(1, chunk_size // mb)
-    for a_start, a_stop in chunk_bounds(ma, a_per_chunk):
-        yield kron_edge_block_routed(
-            el_a.edges[a_start:a_stop], el_b.edges, el_b.n, nparts, n_c, plan
-        )
-
-
-def routed_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
-    """Number of chunks :func:`iter_kron_product_routed` emits."""
-    if ma == 0 or mb == 0:
-        return 0
-    return -(-ma // max(1, chunk_size // mb))
 
 
 def kron_power(el: EdgeList, k: int) -> EdgeList:

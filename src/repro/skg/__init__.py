@@ -19,9 +19,8 @@ splitmix64 function of ``(skg_seed, u, v)`` (:mod:`repro.util.hashing`),
 so it composes with the paper's Def. 8 rejection machinery and is
 bit-identical across backends, retries, chunk sizes, and elastic resume.
 The distributed generator reuses the whole SPMD hot path: candidates are
-enumerated by the existing fused/pipelined product kernels and the
-acceptance filter runs inside the generate span
-(``generate_distributed(..., model="skg")``).
+enumerated by the existing product kernels and the acceptance filter
+runs inside the generate span (``generate_distributed(..., skg=spec)``).
 
 Modules
 -------

@@ -9,8 +9,8 @@ every ordered pair of ``2**k`` vertices exactly once, with the A-factor
 supplying the high address bits (matching the model's level-0-is-MSB
 convention).  Everything else -- partitioning, owner routing, pipelined
 async exchange, varint wire, supervised retry, checkpointed and elastic
-resume -- is the machinery of PRs 1-8, reused verbatim through
-``generate_distributed(..., model="skg")``.
+resume -- is the exact generator's machinery, reused verbatim through
+``generate_distributed(..., skg=spec)``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def generate_skg_distributed(
 
     Thin wrapper: builds the candidate factors for ``spec.k`` and calls
     :func:`repro.distributed.generator.generate_distributed` with
-    ``model="skg"``.  All scheme/storage/pipeline/wire combinations of
+    ``skg=spec``.  All scheme/storage/pipeline/wire combinations of
     the exact generator are available and produce bit-identical edge
     sets for a fixed spec.
     """
@@ -82,7 +82,6 @@ def generate_skg_distributed(
         chunk_size=chunk_size,
         pipeline=pipeline,
         wire=wire,
-        model="skg",
         skg=spec,
         telemetry=telemetry,
         **kwargs,
@@ -129,7 +128,6 @@ def generate_skg_supervised(
         chunk_size=chunk_size,
         pipeline=pipeline,
         wire=wire,
-        model="skg",
         skg=spec,
         fault_plan=fault_plan,
         max_attempts=max_attempts,

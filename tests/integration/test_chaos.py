@@ -66,7 +66,6 @@ class TestSkgChaos:
                 a, b, 4,
                 plans=plans,
                 backends=("thread",),
-                model="skg",
                 skg=spec,
                 recv_timeout_s=2.0,
                 checkpoint_root=tmp_path,

@@ -24,7 +24,14 @@ from repro.graph import EdgeList, erdos_renyi
 from repro.kronecker import kron_product
 from repro.kronecker.product import kron_edge_block, kron_edge_block_routed
 
-SCHEMES = ["1d", "1d-pipelined", "2d"]
+#: Generation paths by test id: the two schemes, plus the 1-D scheme with
+#: the pipelined (double-buffered async) exchange.
+PATHS = {
+    "1d": {"scheme": "1d"},
+    "1d-pipelined": {"scheme": "1d", "pipeline": "async"},
+    "2d": {"scheme": "2d"},
+}
+SCHEMES = list(PATHS)
 STORAGES = ["source_block", "edge_hash"]
 BACKENDS = ["thread", "process"]
 
@@ -103,7 +110,7 @@ def test_placement_matches_oracle(factors, scheme, storage, nranks):
     a, b = factors
     expect = kron_product(a, b)
     got, outputs = generate_distributed(
-        a, b, nranks, scheme=scheme, storage=storage
+        a, b, nranks, storage=storage, **PATHS[scheme]
     )
     assert got == expect
     owners = edge_owners(expect.edges, nranks, scheme=storage, n=expect.n)
@@ -123,7 +130,7 @@ class TestGenerationEquivalence:
         """Chunked routed emission covers every edge exactly once."""
         a, b = factors
         got, _ = generate_distributed(
-            a, b, 3, scheme=scheme, storage=storage, chunk_size=11,
+            a, b, 3, storage=storage, chunk_size=11, **PATHS[scheme]
         )
         assert got == kron_product(a, b)
 
@@ -140,7 +147,7 @@ def test_fused_process_backend_zero_copy(monkeypatch, scheme, storage):
     a, b = erdos_renyi(8, 0.5, seed=99), erdos_renyi(6, 0.5, seed=100)
     expect = kron_product(a, b)
     got, _ = generate_distributed(
-        a, b, 3, scheme=scheme, storage=storage, backend="process",
+        a, b, 3, storage=storage, backend="process", **PATHS[scheme]
     )
     assert got == expect
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.distributed import generate_distributed
 from repro.distributed.faults import FaultPlan
 from repro.distributed.supervisor import (
     SupervisorReport,
@@ -22,7 +23,7 @@ from repro.distributed.supervisor import (
     generation_family_key,
     generation_run_key,
 )
-from repro.errors import ReproError
+from repro.errors import PartitionError
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.skg.distributed import (
     generate_skg_distributed,
@@ -81,7 +82,8 @@ class TestDistributedBitIdentity:
     @pytest.mark.parametrize("wire", ["raw", "varint"])
     def test_async_pipeline_and_wire(self, oracle, wire):
         el, _ = generate_skg_distributed(
-            SPEC, 4, scheme="1d-pipelined", pipeline="async", wire=wire
+            SPEC, 4, scheme="1d", storage="source_block", pipeline="async",
+            wire=wire,
         )
         check(el, oracle)
 
@@ -110,31 +112,33 @@ class TestDistributedBitIdentity:
         )
 
 
+class TestSpecChecks:
+    def test_spec_must_be_an_skg_spec(self):
+        a, b = skg_candidate_factors(SPEC.k)
+        with pytest.raises(PartitionError, match="SKGSpec"):
+            generate_distributed(a, b, 2, skg="polblogs")
+
+    def test_spec_must_cover_the_product(self):
+        a, b = skg_candidate_factors(SPEC.k + 1)
+        with pytest.raises(PartitionError, match="candidate space"):
+            generate_distributed(a, b, 2, skg=SPEC)
+
+
 class TestRunKeys:
     def test_digest_folds_into_run_and_family_keys(self):
         a, b = skg_candidate_factors(SPEC.k)
         args = (a, b, 4, "1d", "source_block", DEFAULT_CHUNK)
         exact = generation_run_key(*args)
-        skg = generation_run_key(*args, model="skg", skg=SPEC)
+        skg = generation_run_key(*args, skg=SPEC)
         other = generation_run_key(
-            *args, model="skg",
-            skg=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
+            *args, skg=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
         )
         assert len({exact, skg, other}) == 3
         assert f"{SPEC.digest():016x}" in skg
         fam = generation_family_key(
-            a, b, "1d", "source_block", DEFAULT_CHUNK,
-            model="skg", skg=SPEC,
+            a, b, "1d", "source_block", DEFAULT_CHUNK, skg=SPEC,
         )
         assert f"{SPEC.digest():016x}" in fam
-
-    def test_skg_model_requires_spec(self):
-        a, b = skg_candidate_factors(SPEC.k)
-        with pytest.raises(ReproError, match="requires an SKG spec"):
-            generation_run_key(
-                a, b, 4, "1d", "source_block", DEFAULT_CHUNK,
-                model="skg",
-            )
 
 
 class TestSupervisedAndElastic:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.distributed import generate_distributed
+from repro.distributed import generate_distributed, generate_to_directory
 from repro.errors import ReproError, VertexIdOverflowError
 from repro.graph import EdgeList, clique
 from repro.graph.csr import CSRGraph
@@ -95,3 +95,13 @@ def test_just_below_bound_accepted():
     assert kron_product(a, b).n == 2**63 - 2**32
     el, _ = generate_distributed(a, b, 2)
     assert el.n == 2**63 - 2**32 and len(el.edges) == 0
+
+
+def test_out_of_core_product_raises_before_writing(tmp_path):
+    """Unguarded, two one-edge 2**32-vertex factors wrote ``[[-1, -1]]``."""
+    top = np.array([[2**32 - 1, 2**32 - 1]], dtype=np.int64)
+    a, b = EdgeList(top, 2**32), EdgeList(top, 2**32)
+    out = tmp_path / "shards"
+    with pytest.raises(VertexIdOverflowError):
+        generate_to_directory(a, b, out, 2)
+    assert not out.exists()
