@@ -38,6 +38,7 @@ from repro.errors import (
     CheckpointError,
     DegradationWarning,
 )
+from repro.graph.edgelist import _canonical_order
 from repro.telemetry.session import record_degradation
 from repro.util.hashing import hash_pair, splitmix64
 
@@ -323,12 +324,6 @@ class CheckpointStore:
         return out
 
 
-def _canonical_order(edges: np.ndarray) -> np.ndarray:
-    """Lexicographic row order (the manifest's union invariant)."""
-    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
-
 def reshard_run(
     store: CheckpointStore,
     manifest: RunManifest,
@@ -376,7 +371,7 @@ def reshard_run(
             )
         blocks.append(shard.edges)
     union = _canonical_order(
-        np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+        np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64), n
     )
     union_digest = edges_digest(union)
     if union_digest != manifest.union_digest:

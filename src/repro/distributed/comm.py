@@ -108,7 +108,8 @@ class Request(ABC):
     The buffer passed to ``isend``/``alltoall_start`` is **owned by the
     runtime until the request completes**: mutating it before ``wait()``
     races the (possibly zero-copy) delivery.  ``repro.lint``'s
-    ``inflight-buffer`` rule flags such mutations statically.  Requests
+    ``inflight-buffer`` rule flags such mutations statically (and
+    ``protocol-inflight`` when a helper started the request).  Requests
     on the same ``(peer, tag)`` channel must be waited in issue order;
     the generator keeps at most one exchange in flight, which trivially
     satisfies this.

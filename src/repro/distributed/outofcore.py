@@ -55,7 +55,7 @@ class ShardManifest:
 
 def _rank_stream_to_file(
     comm: Communicator,
-    cells,
+    assignments,
     directory: str,
     chunk_size: int,
     skg=None,
@@ -78,7 +78,7 @@ def _rank_stream_to_file(
     out_path = Path(directory) / f"shard_{comm.rank:05d}.npz"
     blocks: list[np.ndarray] = []
     count = 0
-    for part_a, part_b in cells:
+    for part_a, part_b in assignments[comm.rank]:
         for blk in iter_kron_product(part_a, part_b, chunk_size):
             if acceptor is not None:
                 blk = acceptor.filter_edges(blk)
@@ -132,24 +132,11 @@ def generate_to_directory(
     else:
         raise PartitionError(f"unknown scheme {scheme!r}")
 
-    def rank_fn(comm: Communicator):
-        return _rank_stream_to_file(
-            comm, assignments[comm.rank], str(directory), chunk_size, skg
-        )
-
-    if backend in ("process", "socket"):
-        # multiprocess backends need a picklable module-level callable
-        run_kwargs = {"backend": backend}
-        if rendezvous is not None:
-            run_kwargs["rendezvous"] = rendezvous
-        if local_ranks is not None:
-            run_kwargs["local_ranks"] = local_ranks
-        results = spmd_run(
-            _rank_entry, nranks, assignments, str(directory), chunk_size,
-            skg, **run_kwargs,
-        )
-    else:
-        results = spmd_run(rank_fn, nranks, backend=backend)
+    results = spmd_run(
+        _rank_stream_to_file, nranks, assignments, str(directory),
+        chunk_size, skg, backend=backend, rendezvous=rendezvous,
+        local_ranks=local_ranks,
+    )
     # Ranks launched on other hosts report None slots; their shards are
     # on those hosts, so this manifest covers the local share only.
     local = [r for r in results if r is not None]
@@ -163,9 +150,3 @@ def generate_to_directory(
         shard_paths=paths,
     )
 
-
-def _rank_entry(comm, assignments, directory, chunk_size, skg=None):
-    """Module-level entry for the process backend (picklable)."""
-    return _rank_stream_to_file(
-        comm, assignments[comm.rank], directory, chunk_size, skg
-    )

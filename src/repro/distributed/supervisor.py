@@ -53,7 +53,7 @@ from repro.errors import (
     RankFailedError,
     ReproError,
 )
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import EdgeList, _canonical_order
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import TelemetrySession, telemetry_of
@@ -405,7 +405,7 @@ def _maybe_elastic_reshard(
     run_key: str,
     family: str,
     nranks: int,
-    scheme: str,
+    storage: str,
     n: int,
 ) -> bool:
     """Reshard a same-family manifest onto ``nranks`` if one exists.
@@ -425,7 +425,7 @@ def _maybe_elastic_reshard(
             continue
         reshard_run(
             store, manifest, new_key=run_key, new_ranks=nranks,
-            scheme=scheme, n=n,
+            scheme=storage, n=n,
         )
         return True
     return False
@@ -522,7 +522,7 @@ def generate_distributed_supervised(
     if family is not None:
         # Success: record the consensus manifest elastic resume feeds on.
         store = CheckpointStore(checkpoint_dir)
-        union = canonical_edges(el.edges)
+        union = _canonical_order(el.edges, el.n)
         store.put_manifest(
             RunManifest(
                 run_key=run_key,
@@ -539,11 +539,11 @@ def generate_distributed_supervised(
 
 
 def _elastic_pre_attempt(
-    directory, run_key, family, nranks, scheme, n, telemetry, attempt
+    directory, run_key, family, nranks, storage, n, telemetry, attempt
 ):
     """Per-attempt elastic hook (module-level for picklability/clarity)."""
     resharded = _maybe_elastic_reshard(
-        directory, run_key, family, nranks, scheme, n
+        directory, run_key, family, nranks, storage, n
     )
     if resharded and telemetry is not None and telemetry.enabled:
         telemetry.record(
@@ -577,9 +577,7 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
     Distributed reassembly order varies with world size and backend; the
     canonical sort makes "same multiset" checkable as array equality.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order]
+    return _canonical_order(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -724,7 +722,7 @@ def run_chaos_matrix(
         backend="thread", chunk_size=chunk_size,
         pipeline=pipeline, wire=wire, skg=skg,
     )
-    reference = canonical_edges(el.edges)
+    reference = _canonical_order(el.edges, el.n)
     report = ChaosReport()
     with _recv_timeout_env(recv_timeout_s):
         for i, plan in enumerate(plans):
@@ -766,7 +764,7 @@ def run_chaos_matrix(
                     )
                     continue
                 identical = np.array_equal(
-                    canonical_edges(el.edges), reference
+                    _canonical_order(el.edges, el.n), reference
                 )
                 report.outcomes.append(
                     ChaosOutcome(

@@ -15,12 +15,12 @@ invariants the Python runtime cannot enforce:
   iteration feeding edges, no process-global ``np.random`` state, no
   time-derived seeds.
 
-This package makes those invariants machine-checked: an AST-based rule
-framework (:mod:`repro.lint.core`) with per-file rule families
-(:mod:`repro.lint.rules`), a *whole-program* analysis layer -- a
-communication IR per module (:mod:`repro.lint.ir`), a call graph with
-per-function comm summaries (:mod:`repro.lint.callgraph`), and
-interprocedural protocol rules (:mod:`repro.lint.rules.protocol`) --
+This package makes those invariants machine-checked: a rule framework
+(:mod:`repro.lint.core`) with the rule families of
+:mod:`repro.lint.rules` -- AST passes over one file, and the SPMD
+protocol rules (:mod:`repro.lint.rules.protocol`) computed from a
+communication IR per module (:mod:`repro.lint.ir`) and a call graph
+with per-function comm summaries (:mod:`repro.lint.callgraph`) --
 per-line ``# repro-lint: disable=RULE`` suppressions, a checked-in
 findings baseline (:mod:`repro.lint.baseline`) so CI fails only on
 *new* findings, an incremental content-addressed cache
@@ -43,17 +43,11 @@ from repro.lint.core import (
     LintContext,
     ProgramRule,
     Rule,
-    all_program_rules,
     all_rules,
-    known_rule_names,
-    lint_file,
-    lint_paths,
-    lint_source,
     register,
-    register_program,
     resolve_selection,
 )
-from repro.lint.engine import analyze_paths
+from repro.lint.engine import analyze_paths, lint_paths, lint_source
 from repro.lint.rules import (
     BufferOwnershipRule,
     CollectiveSymmetryRule,
@@ -67,13 +61,9 @@ __all__ = [
     "Rule",
     "ProgramRule",
     "all_rules",
-    "all_program_rules",
-    "known_rule_names",
     "resolve_selection",
     "register",
-    "register_program",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "analyze_paths",
     "load_baseline",

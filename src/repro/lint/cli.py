@@ -5,10 +5,11 @@ reported, ``2`` usage or internal error -- the semantics CI keys off.
 The same arguments are mounted as the ``repro-kron lint`` subcommand by
 :mod:`repro.cli`.
 
-Runs the full incremental engine: file rules plus the whole-program
-protocol rules, with per-file results cached content-addressed under
-``--cache-dir`` (default ``.repro-lint-cache``; disable with
-``--no-cache``).  ``--sarif FILE`` additionally writes a SARIF 2.1.0
+Runs the full incremental engine: file rules plus the program rules
+over the communication IR, with per-file results cached
+content-addressed under ``--cache-dir`` (default
+``.repro-lint-cache``; disable with ``--no-cache``).
+``--sarif FILE`` additionally writes a SARIF 2.1.0
 report of the post-baseline findings for CI code-scanning upload.
 """
 
@@ -20,7 +21,7 @@ import sys
 
 from repro.lint.baseline import filter_baseline, load_baseline, write_baseline
 from repro.lint.cache import DEFAULT_CACHE_DIR
-from repro.lint.core import Finding, all_program_rules, all_rules
+from repro.lint.core import Finding, all_rules
 from repro.lint.engine import analyze_paths
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
@@ -72,15 +73,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _print_rules() -> None:
     for rule in all_rules():
-        scope = (
-            f" [scope: {', '.join(rule.scope_dirs)}/]" if rule.scope_dirs else ""
-        )
+        scope_dirs = getattr(rule, "scope_dirs", ())
+        scope = f" [scope: {', '.join(scope_dirs)}/]" if scope_dirs else ""
         print(f"{rule.name:<22} {rule.severity:<8} {rule.description}{scope}")
-    for rule in all_program_rules():
-        print(
-            f"{rule.name:<22} {rule.severity:<8} "
-            f"[whole-program] {rule.description}"
-        )
 
 
 def _report(findings: list[Finding], fmt: str) -> None:

@@ -1,9 +1,12 @@
 """Rule framework for the SPMD correctness linter.
 
-A *rule* is a small AST pass: it receives a parsed module plus a
-:class:`LintContext` and yields :class:`Finding` objects.  Rules register
-themselves in a module-level registry via the :func:`register` decorator so
-the CLI and tests discover them uniformly.
+A *file rule* (:class:`Rule`) is a small AST pass: it receives a parsed
+module plus a :class:`LintContext` and yields :class:`Finding` objects.
+A *program rule* (:class:`ProgramRule`) reads the communication IR of
+every analyzed module at once.  Both kinds register themselves in one
+module-level registry via the :func:`register` decorator, so the CLI,
+SARIF writer and tests discover them uniformly through
+:func:`resolve_selection`.
 
 Suppressions
 ------------
@@ -17,8 +20,8 @@ and file-wide (anywhere in the file, conventionally near the top)::
     # repro-lint: disable-file=dtype-overflow
 
 Multiple rule names are comma-separated.  Suppression is applied centrally
-by :func:`lint_source` after the rules run, so rules never need to know
-about it.
+by the engine (:mod:`repro.lint.engine`) after the rules run, so rules
+never need to know about it.
 
 Scoping
 -------
@@ -34,7 +37,7 @@ import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Finding",
@@ -42,14 +45,8 @@ __all__ = [
     "Rule",
     "ProgramRule",
     "register",
-    "register_program",
     "all_rules",
-    "all_program_rules",
-    "known_rule_names",
     "resolve_selection",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
 ]
 
 #: Marker prefix for suppression comments.
@@ -167,7 +164,7 @@ class LintContext:
 
 
 class Rule(ABC):
-    """Base class for lint rules.
+    """Base class for file rules: AST passes over one module.
 
     Subclasses set ``name`` (the suppression/selection identifier),
     ``severity`` (``"error"`` or ``"warning"``), a one-line
@@ -192,37 +189,6 @@ class Rule(ABC):
         """Yield findings for one parsed module."""
 
 
-_REGISTRY: dict[str, type[Rule]] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if not cls.name:
-        raise ValueError(f"rule {cls.__name__} has no name")
-    if cls.severity not in SEVERITIES:
-        raise ValueError(f"rule {cls.name} has invalid severity {cls.severity!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def all_rules(select: Iterable[str] | None = None) -> list[Rule]:
-    """Instantiate registered file rules, optionally restricted to ``select``."""
-    # Import for side effect: rule modules self-register on first use.
-    import repro.lint.rules  # noqa: F401
-
-    if select is None:
-        names = sorted(_REGISTRY)
-    else:
-        names = list(select)
-        unknown = [n for n in names if n not in _REGISTRY]
-        if unknown:
-            raise ValueError(
-                f"unknown rule(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-    return [_REGISTRY[n]() for n in names]
-
-
 class ProgramRule(ABC):
     """Base class for whole-program rules.
 
@@ -244,63 +210,51 @@ class ProgramRule(ABC):
         """Yield findings for one whole program."""
 
 
-_PROGRAM_REGISTRY: dict[str, type[ProgramRule]] = {}
+_REGISTRY: dict[str, type[Rule] | type[ProgramRule]] = {}
 
 
-def register_program(cls: type[ProgramRule]) -> type[ProgramRule]:
-    """Class decorator adding a program rule to the global registry."""
+def register(cls):
+    """Class decorator adding a file or program rule to the registry."""
     if not cls.name:
-        raise ValueError(f"program rule {cls.__name__} has no name")
+        raise ValueError(f"rule {cls.__name__} has no name")
     if cls.severity not in SEVERITIES:
         raise ValueError(f"rule {cls.name} has invalid severity {cls.severity!r}")
     if cls.name in _REGISTRY:
-        raise ValueError(f"rule name {cls.name} already taken by a file rule")
-    _PROGRAM_REGISTRY[cls.name] = cls
+        raise ValueError(f"rule name {cls.name} is already registered")
+    _REGISTRY[cls.name] = cls
     return cls
 
 
-def all_program_rules(select: Iterable[str] | None = None) -> list[ProgramRule]:
-    """Instantiate registered program rules, optionally restricted."""
+def all_rules(select: Iterable[str] | None = None) -> list[Rule | ProgramRule]:
+    """Instantiate the selected rules, file and program alike.
+
+    ``select=None`` means every registered rule, in name order.  Raises
+    ``ValueError`` naming the unknown entries *and* the full valid rule
+    list when any selected name is not registered -- a misspelled
+    ``--select`` must fail loudly, not run zero rules.
+    """
+    # Import for side effect: rule modules self-register on first use.
     import repro.lint.rules  # noqa: F401
 
-    names = sorted(_PROGRAM_REGISTRY) if select is None else list(select)
-    return [_PROGRAM_REGISTRY[n]() for n in names if n in _PROGRAM_REGISTRY]
-
-
-def known_rule_names() -> list[str]:
-    """Every selectable rule name, file-level and program-level."""
-    import repro.lint.rules  # noqa: F401
-
-    return sorted(set(_REGISTRY) | set(_PROGRAM_REGISTRY))
+    names = sorted(_REGISTRY) if select is None else list(dict.fromkeys(select))
+    unknown = sorted(n for n in names if n not in _REGISTRY)
+    if unknown:
+        raise ValueError(
+            f"unknown rule(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(_REGISTRY))}"
+        )
+    return [_REGISTRY[n]() for n in names]
 
 
 def resolve_selection(
     select: Iterable[str] | None = None,
 ) -> tuple[list[Rule], list[ProgramRule]]:
-    """Split a ``--select`` list into (file rules, program rules).
-
-    Raises ``ValueError`` naming the unknown entries *and* the full valid
-    rule list when any selected name matches neither registry -- a
-    misspelled ``--select`` must fail loudly, not run zero rules.
-    """
-    import repro.lint.rules  # noqa: F401
-
-    if select is None:
-        return all_rules(), all_program_rules()
-    names = list(select)
-    unknown = [
-        n for n in names if n not in _REGISTRY and n not in _PROGRAM_REGISTRY
-    ]
-    if unknown:
-        raise ValueError(
-            f"unknown rule(s) {', '.join(sorted(set(unknown)))}; "
-            f"known: {', '.join(known_rule_names())}"
-        )
-    file_rules = [_REGISTRY[n]() for n in names if n in _REGISTRY]
-    program_rules = [
-        _PROGRAM_REGISTRY[n]() for n in names if n in _PROGRAM_REGISTRY
-    ]
-    return file_rules, program_rules
+    """Split a ``--select`` list into (file rules, program rules)."""
+    rules = all_rules(select)
+    return (
+        [r for r in rules if isinstance(r, Rule)],
+        [r for r in rules if isinstance(r, ProgramRule)],
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -388,97 +342,3 @@ def _suppressed(
         if finding.rule in names or "all" in names:
             return True
     return False
-
-
-# --------------------------------------------------------------------- #
-# drivers
-# --------------------------------------------------------------------- #
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Iterable[Rule] | None = None,
-) -> list[Finding]:
-    """Lint one source string; returns findings sorted by position."""
-    rules = list(rules) if rules is not None else all_rules()
-    ctx = LintContext(path=path, source=source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="parse-error",
-                severity="error",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"could not parse file: {exc.msg}",
-                snippet=ctx.snippet(exc.lineno or 1),
-            )
-        ]
-    by_line, whole_file = _collect_suppressions(ctx.lines, tree)
-    findings: list[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(path):
-            continue
-        for f in rule.check(tree, ctx):
-            if not _suppressed(f, by_line, whole_file):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(path: Path, rules: Iterable[Rule] | None = None) -> list[Finding]:
-    """Lint one file (path recorded relative to the current directory)."""
-    text = path.read_text(encoding="utf-8")
-    try:
-        rel = path.resolve().relative_to(Path.cwd())
-    except ValueError:
-        rel = path
-    return lint_source(text, path=rel.as_posix(), rules=rules)
-
-
-def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Yield each ``.py`` file exactly once, even under overlapping paths.
-
-    ``repro-kron lint src src/repro`` must not double-report findings,
-    so files are deduplicated on their resolved absolute path (the first
-    spelling encountered wins).
-    """
-    seen: set[Path] = set()
-    for p in paths:
-        if p.is_dir():
-            candidates: Iterable[Path] = sorted(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            candidates = [p]
-        else:
-            continue
-        for candidate in candidates:
-            key = candidate.resolve()
-            if key in seen:
-                continue
-            seen.add(key)
-            yield candidate
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    rules: Iterable[Rule] | None = None,
-) -> list[Finding]:
-    """Lint every ``.py`` file under the given files/directories.
-
-    With ``rules=None`` this runs the full analysis -- all file rules
-    plus the whole-program protocol rules over the communication IR of
-    every file in ``paths`` (uncached; the CLI adds the incremental
-    cache on top via :mod:`repro.lint.engine`).  Passing an explicit
-    ``rules`` list restricts the run to those file rules only.
-    """
-    if rules is not None:
-        rules = list(rules)
-        findings: list[Finding] = []
-        for path in _iter_python_files(Path(p) for p in paths):
-            findings.extend(lint_file(path, rules=rules))
-        return findings
-    from repro.lint.engine import analyze_paths
-
-    findings, _stats = analyze_paths(paths)
-    return findings

@@ -1,12 +1,14 @@
-"""Communication IR: per-module comm-op extraction for whole-program analysis.
+"""Communication IR: per-module comm-op extraction for the SPMD protocol rules.
 
-The file-local rules of :mod:`repro.lint.rules` see one function body at
-a time, so the invariants that span functions -- a collective three
-frames down a call chain, a request returned through a helper, a buffer
-started in one function and mutated in its caller -- are invisible to
-them.  This module extracts, per file, a small *communication IR*: for
-every function, an abstract statement tree recording only the events the
-protocol checker cares about:
+The SPMD invariants -- every rank runs the same collectives, every
+nonblocking request is completed, no buffer is mutated while in flight
+-- are all questions about comm events and the control flow around
+them, often across functions: a collective three frames down a call
+chain, a request returned through a helper, a buffer started in one
+function and mutated in its caller.  This module extracts, per file, a
+small *communication IR* that every protocol rule of
+:mod:`repro.lint.rules.protocol` reads: for every function, an abstract
+statement tree recording only the events those rules care about:
 
 * comm-op call sites (collectives, nonblocking starts, waits/finishes)
   with the buffer expressions they capture and where their result goes
@@ -38,6 +40,7 @@ import ast
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from repro.lint.core import LintContext
 from repro.lint.ops import (
     COLLECTIVE_OPS,
     FINISH_OPS,
@@ -47,6 +50,7 @@ from repro.lint.ops import (
     base_name,
     call_method,
     contains_rank_ref,
+    target_names,
 )
 
 __all__ = [
@@ -72,7 +76,7 @@ __all__ = [
 
 #: Bump whenever node shapes or extraction semantics change: the version
 #: is folded into the cache key, so stale cached IR can never be loaded.
-IR_VERSION = 1
+IR_VERSION = 2
 
 #: Rank-guard contexts, in increasing order of divergence.
 GUARDS = ("all", "guarded", "divergent")
@@ -351,19 +355,6 @@ def _roots(expr: ast.expr) -> tuple:
     return (name,) if name is not None else ()
 
 
-def _target_names(target: ast.expr) -> list[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: list[str] = []
-        for elt in target.elts:
-            out.extend(_target_names(elt))
-        return out
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    return []
-
-
 def _dotted(expr: ast.expr) -> str | None:
     """``self._inner`` -> ``"self._inner"``; None for non-dotted forms."""
     chain = attr_chain(expr)
@@ -407,32 +398,14 @@ class _Extractor:
 
     def __init__(self, tree: ast.Module, lines: list[str], path: str) -> None:
         self.tree = tree
-        self.lines = lines
+        self.ctx = LintContext(path=path, source="", lines=lines)
         self.mod = ModuleIR(path=path, module=module_name_for(path))
-
-    # -- source helpers ---------------------------------------------------
-    def _snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def _context(self, line: int) -> str:
-        def nearest(start: int, step: int) -> str:
-            i = start
-            while 1 <= i <= len(self.lines):
-                text = self.lines[i - 1].strip()
-                if text:
-                    return text
-                i += step
-            return ""
-
-        return nearest(line - 1, -1) + "␞" + nearest(line + 1, 1)
 
     def _place(self, node: _Node, at: ast.AST, guard) -> _Node:
         node.line = getattr(at, "lineno", 0)
         node.col = getattr(at, "col_offset", 0)
-        node.snippet = self._snippet(node.line)
-        node.context = self._context(node.line)
+        node.snippet = self.ctx.snippet(node.line)
+        node.context = self.ctx.context_of(node.line)
         if guard is not None:
             node.guard, node.guard_line = guard
         return node
@@ -475,6 +448,12 @@ class _Extractor:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         qual = f"{st.name}.{sub.name}"
                         self._function(sub, qual, st.name)
+                # The class body itself runs once, at definition time.
+                body = FuncIR(
+                    qualname=f"{st.name}.<body>", cls=st.name, line=st.lineno
+                )
+                body.body = self._block(st.body, None)
+                self.mod.functions[body.qualname] = body
             elif isinstance(st, (ast.If, ast.Try, ast.While, ast.For, ast.With)):
                 # defs under module-level conditionals (TYPE_CHECKING etc.)
                 for block in ("body", "orelse", "finalbody"):
@@ -515,6 +494,7 @@ class _Extractor:
                     self._assign(out, st, [st.target], st.value, guard)
             elif isinstance(st, ast.AugAssign):
                 self._expr(out, st.value, guard)
+                self._expr(out, st.target, guard)
                 name = base_name(st.target)
                 if name:
                     out.append(
@@ -525,6 +505,7 @@ class _Extractor:
                     )
             elif isinstance(st, ast.Delete):
                 for tgt in st.targets:
+                    self._expr(out, tgt, guard)
                     if isinstance(tgt, ast.Subscript):
                         name = base_name(tgt)
                         if name:
@@ -548,8 +529,10 @@ class _Extractor:
                         self._place(ReturnNode(value_root=root), st, guard)
                     )
             elif isinstance(st, (ast.Raise, ast.Break, ast.Continue)):
-                if isinstance(st, ast.Raise) and st.exc is not None:
-                    self._expr(out, st.exc, guard)
+                if isinstance(st, ast.Raise):
+                    for part in (st.exc, st.cause):
+                        if part is not None:
+                            self._expr(out, part, guard)
                 out.append(self._place(ExitNode(), st, guard))
             elif isinstance(st, ast.If):
                 guard = self._if(out, st, guard)
@@ -565,7 +548,7 @@ class _Extractor:
             elif isinstance(st, (ast.For, ast.AsyncFor)):
                 self._expr(out, st.iter, guard)
                 body: list = []
-                targets = tuple(_target_names(st.target))
+                targets = tuple(target_names(st.target))
                 if targets:
                     rebind = self._place(RebindNode(targets=targets), st, guard)
                     body.append(rebind)
@@ -576,7 +559,7 @@ class _Extractor:
                 for item in st.items:
                     self._expr(out, item.context_expr, guard)
                     if item.optional_vars is not None:
-                        names = tuple(_target_names(item.optional_vars))
+                        names = tuple(target_names(item.optional_vars))
                         if names:
                             out.append(
                                 self._place(
@@ -632,6 +615,8 @@ class _Extractor:
         plain: list[str] = []
         attrs: list[str] = []
         for target in targets:
+            if not isinstance(target, ast.Name):
+                self._expr(out, target, guard)  # calls in subscripts
             if isinstance(target, ast.Subscript):
                 name = base_name(target)
                 if name:
@@ -646,7 +631,7 @@ class _Extractor:
                 if dotted:
                     attrs.append(dotted)
             else:
-                plain.extend(_target_names(target))
+                plain.extend(target_names(target))
         binds = tuple(plain) + tuple(attrs)
         if self._is_tracked_call(value):
             self._emit_call(out, value, guard, binds=binds, escape=None)
@@ -694,6 +679,7 @@ class _Extractor:
         escape: str | None,
     ) -> None:
         """Emit the node for a *directly consumed* call expression."""
+        self._expr(out, call.func, guard)  # calls in the receiver
         for arg in call.args:
             self._expr(out, arg, guard)
         for kw in call.keywords:

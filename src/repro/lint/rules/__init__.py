@@ -1,8 +1,11 @@
 """The SPMD rule families.
 
-Importing this package registers every rule with the framework
-registries (:func:`repro.lint.core.register` for file rules,
-:func:`repro.lint.core.register_program` for whole-program rules):
+Importing this package registers every rule with the framework registry
+(:func:`repro.lint.core.register`).  Most rules are AST passes over one
+file; the SPMD protocol rules of :mod:`repro.lint.rules.protocol` read
+the communication IR of every analyzed file at once (see
+:mod:`repro.lint.ir` and :mod:`repro.lint.callgraph`), so one analysis
+answers both the same-function and the cross-function question.
 
 ``collective-symmetry`` (error)
     collectives reachable only under rank-dependent control flow deadlock
@@ -25,25 +28,25 @@ registries (:func:`repro.lint.core.register` for file rules,
     :mod:`repro.telemetry.clock`, not ``time.time()`` /
     ``time.perf_counter()`` directly, so traces stay deterministic
     under a fake clock.
-
-Whole-program rules (run over the communication IR of every analyzed
-file at once; see :mod:`repro.lint.ir` and :mod:`repro.lint.callgraph`):
-
 ``protocol-divergence`` (error)
     a rank-guarded call reaches a collective down its call chain.
 ``protocol-leak`` (error)
     a nonblocking request is discarded, rebound, or left in flight on
     some path.
+``inflight-buffer`` (error)
+    a buffer passed to ``isend``/``alltoall_start`` is mutated before
+    the request completes.
 ``protocol-inflight`` (error)
     a buffer put in flight through a helper is mutated before the
     request completes.
 """
 
 from repro.lint.rules.buffers import BufferOwnershipRule
-from repro.lint.rules.collectives import CollectiveSymmetryRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.dtypes import DtypeOverflowRule
 from repro.lint.rules.protocol import (
+    CollectiveSymmetryRule,
+    InflightBufferRule,
     ProtocolDivergenceRule,
     ProtocolInflightRule,
     ProtocolLeakRule,
@@ -60,5 +63,6 @@ __all__ = [
     "WallClockRule",
     "ProtocolDivergenceRule",
     "ProtocolLeakRule",
+    "InflightBufferRule",
     "ProtocolInflightRule",
 ]

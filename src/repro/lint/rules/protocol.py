@@ -1,14 +1,20 @@
-"""Whole-program SPMD protocol rules.
+"""SPMD protocol rules over the communication IR.
 
-Three interprocedural rules over the :class:`repro.lint.callgraph.Program`
-built from the communication IR:
+Five rules over the :class:`repro.lint.callgraph.Program` built from the
+communication IR (:mod:`repro.lint.ir`).  The IR records every comm op
+with its rank-guard context, so the same rules check one function and a
+whole call chain:
+
+``collective-symmetry``
+    A collective op runs under a rank-dependent ``if``/``while`` test,
+    or after a rank-guarded asymmetric early exit, in the same function.
+    Point-to-point ``send``/``recv`` are exempt: rank-dependent p2p is
+    the normal SPMD idiom.
 
 ``protocol-divergence``
     A rank-guarded (or rank-divergent) *call* reaches a collective
-    somewhere down the call chain.  The file-local
-    ``collective-symmetry`` rule already flags guarded collectives in
-    the same function body; this rule covers the cases it cannot see --
-    ``if rank == 0: checkpoint(comm)`` where ``checkpoint`` gathers.
+    somewhere down the call chain -- ``if rank == 0: checkpoint(comm)``
+    where ``checkpoint`` gathers.
 
 ``protocol-leak``
     A nonblocking start whose request is never completed on some path:
@@ -17,14 +23,15 @@ built from the communication IR:
     Requests that escape to the caller (returned) are the caller's
     obligation and tracked there via function summaries.
 
-``protocol-inflight``
-    A buffer put in flight *through a helper* (the helper starts a
-    nonblocking op on its parameter and returns the request) is mutated
-    in the caller before the request completes.  The file-local
-    ``inflight-buffer`` rule covers the same-function case; this rule
-    generalizes it across function boundaries.
+``inflight-buffer``
+    A buffer passed to ``isend``/``alltoall_start`` in this function is
+    mutated (through any alias) before the request completes.
 
-All three run off a shared abstract interpretation of request states.
+``protocol-inflight``
+    The same, for a buffer put in flight *through a helper* (the helper
+    starts a nonblocking op on its parameter and returns the request).
+
+The last three run off a shared abstract interpretation of request states.
 Each tracked request name holds a *possibility set* drawn from
 ``{NONE, INFLIGHT, DONE}``; branches fork the environment, ``x is not
 None`` tests refine it, joins union it, and loop bodies iterate to a
@@ -43,7 +50,7 @@ attribute name program-wide, not per object.
 from __future__ import annotations
 
 from repro.lint.callgraph import Program, Summary, flatten
-from repro.lint.core import Finding, ProgramRule, register_program
+from repro.lint.core import Finding, ProgramRule, register
 from repro.lint.ir import (
     AliasNode,
     BindNoneNode,
@@ -61,8 +68,10 @@ from repro.lint.ir import (
 )
 
 __all__ = [
+    "CollectiveSymmetryRule",
     "ProtocolDivergenceRule",
     "ProtocolLeakRule",
+    "InflightBufferRule",
     "ProtocolInflightRule",
 ]
 
@@ -72,7 +81,7 @@ _LOOP_CAP = 8  # fixpoint rounds before giving up on a loop body
 
 
 # --------------------------------------------------------------------- #
-# request-state interpretation (shared by leak + inflight rules)
+# request-state interpretation (shared by the leak and inflight rules)
 # --------------------------------------------------------------------- #
 class _Cell:
     """Abstract state of one request value; aliases share the cell."""
@@ -272,7 +281,7 @@ class _Interp:
                         )
                 else:
                     self._kill(env, node, (bind,))
-                    env[bind] = _Cell({INFLIGHT}, node)
+                    env[bind] = _Cell({INFLIGHT}, node, node.buffers)
         elif node.kind == "finish":
             request = node.request
             if request and "." not in request:
@@ -319,8 +328,20 @@ class _Interp:
             if id(cell) in seen:
                 continue
             seen.add(id(cell))
-            if INFLIGHT in cell.statuses and node.name in cell.buffers:
-                origin = cell.origin
+            if INFLIGHT not in cell.statuses or node.name not in cell.buffers:
+                continue
+            origin = cell.origin
+            if isinstance(origin, OpNode):
+                self._flag(
+                    "inflight-buffer", node,
+                    f"{node.how} '{node.name}', which was passed to "
+                    f"{origin.op}() at line {origin.line} and may still be "
+                    f"in flight; the runtime owns the buffer until the "
+                    f"request is waited on -- complete the request "
+                    f"(wait()/alltoall_finish()) or send a copy "
+                    f"(Request contract)",
+                )
+            else:
                 self._flag(
                     "protocol-inflight", node,
                     f"{node.how} '{node.name}' while it is in flight: the "
@@ -398,7 +419,7 @@ def _last_node(nodes: list):
 
 def _interp_findings(program: Program) -> list[tuple]:
     """Run the request-state interpretation once per program; results
-    are shared between the leak and inflight rules via scratch space."""
+    are shared between the rules that read it via scratch space."""
     cached = program.scratch.get("protocol-interp")
     if cached is not None:
         return cached
@@ -424,7 +445,53 @@ def _finding(rule, severity, item) -> Finding:
 # --------------------------------------------------------------------- #
 # rules
 # --------------------------------------------------------------------- #
-@register_program
+@register
+class CollectiveSymmetryRule(ProgramRule):
+    """Every rank must run the same collective sequence."""
+
+    name = "collective-symmetry"
+    severity = "error"
+    description = (
+        "collective calls reachable only under rank-dependent control "
+        "flow deadlock the ranks that skip them"
+    )
+
+    def check(self, program: Program):
+        for mod, fn in program.iter_functions():
+            loop_lines: set[int] = set()  # a guarding loop is a 'while'
+            for node in flatten(fn.body):
+                if isinstance(node, LoopNode):
+                    loop_lines.add(node.line)
+                if (
+                    not isinstance(node, OpNode)
+                    or node.kind != "collective"
+                    or node.guard == "all"
+                ):
+                    continue
+                if node.guard == "divergent":
+                    where = (
+                        f"follows a rank-guarded early exit at line "
+                        f"{node.guard_line}"
+                    )
+                else:
+                    kind = "while" if node.guard_line in loop_lines else "if"
+                    where = (
+                        f"is guarded by a rank-dependent '{kind}' at line "
+                        f"{node.guard_line}"
+                    )
+                yield Finding(
+                    rule=self.name, severity=self.severity, path=mod.path,
+                    line=node.line, col=node.col,
+                    message=(
+                        f"collective '{node.op}' {where}; every rank must "
+                        f"execute the same collective sequence or the "
+                        f"skipped ranks deadlock"
+                    ),
+                    snippet=node.snippet, context=node.context,
+                )
+
+
+@register
 class ProtocolDivergenceRule(ProgramRule):
     """Rank-guarded call chains must not reach collectives."""
 
@@ -471,8 +538,17 @@ class ProtocolDivergenceRule(ProgramRule):
                 )
 
 
-@register_program
-class ProtocolLeakRule(ProgramRule):
+class _InterpRule(ProgramRule):
+    """A rule reporting its share of the request-state interpretation."""
+
+    def check(self, program: Program):
+        for item in _interp_findings(program):
+            if item[0] == self.name:
+                yield _finding(self.name, self.severity, item)
+
+
+@register
+class ProtocolLeakRule(_InterpRule):
     """Every nonblocking start must be completed on every path."""
 
     name = "protocol-leak"
@@ -483,14 +559,30 @@ class ProtocolLeakRule(ProgramRule):
         "never completed"
     )
 
-    def check(self, program: Program):
-        for item in _interp_findings(program):
-            if item[0] == self.name:
-                yield _finding(self.name, self.severity, item)
+
+@register
+class InflightBufferRule(_InterpRule):
+    """Buffers passed to a nonblocking start stay frozen until the
+    request completes.
+
+    ``isend``/``alltoall_start`` hand the passed buffer to the runtime
+    until the returned :class:`~repro.distributed.comm.Request` is waited
+    on (the contract documented on that class): the thread backend passes
+    it by reference to the receiver and a deferred-send backend may not
+    have serialized it yet, so an in-place edit races the delivery.
+    """
+
+    name = "inflight-buffer"
+    severity = "error"
+    description = (
+        "buffers passed to isend/alltoall_start stay owned by the runtime "
+        "until the request is waited on; mutate only after wait()/"
+        "alltoall_finish()"
+    )
 
 
-@register_program
-class ProtocolInflightRule(ProgramRule):
+@register
+class ProtocolInflightRule(_InterpRule):
     """Buffers handed to a helper-started request stay frozen until
     the request completes."""
 
@@ -500,8 +592,3 @@ class ProtocolInflightRule(ProgramRule):
         "a buffer put in flight through a helper's nonblocking start "
         "is mutated before the returned request is completed"
     )
-
-    def check(self, program: Program):
-        for item in _interp_findings(program):
-            if item[0] == self.name:
-                yield _finding(self.name, self.severity, item)

@@ -1,6 +1,6 @@
 """Minimal SARIF 2.1.0 writer for CI code-scanning upload.
 
-Emits one run with the full rule catalogue (file and program rules) in
+Emits one run with the full rule catalogue in
 ``tool.driver.rules`` and one result per finding, carrying the baseline
 fingerprint under ``fingerprints`` so SARIF consumers track findings
 across moves the same way our own baseline does.  Output is fully
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.lint.baseline import fingerprints
-from repro.lint.core import Finding, all_program_rules, all_rules
+from repro.lint.core import Finding, all_rules
 
 __all__ = ["to_sarif", "write_sarif"]
 
@@ -30,19 +30,16 @@ _LEVELS = {"warning": "warning", "error": "error"}
 
 
 def _rule_catalogue() -> list[dict]:
-    rules = []
-    for rule in [*all_rules(), *all_program_rules()]:
-        rules.append(
-            {
-                "id": rule.name,
-                "defaultConfiguration": {
-                    "level": _LEVELS.get(rule.severity, "warning")
-                },
-                "shortDescription": {"text": rule.description or rule.name},
-            }
-        )
-    rules.sort(key=lambda r: r["id"])
-    return rules
+    return [
+        {
+            "id": rule.name,
+            "defaultConfiguration": {
+                "level": _LEVELS.get(rule.severity, "warning")
+            },
+            "shortDescription": {"text": rule.description or rule.name},
+        }
+        for rule in all_rules()
+    ]
 
 
 def to_sarif(findings: Iterable[Finding]) -> dict:

@@ -35,7 +35,7 @@ Modules
 :mod:`repro.skg.expected`
     closed-form expected properties (the ``groundtruth`` analogue).
 :mod:`repro.skg.distributed`
-    candidate factors + drivers over the SPMD runtime.
+    candidate factors whose product the SPMD generator filters.
 """
 
 from repro.skg.expected import (
@@ -59,11 +59,7 @@ from repro.skg.seeds import (
     get_seed_matrix,
     list_seed_matrices,
 )
-from repro.skg.distributed import (
-    generate_skg_distributed,
-    generate_skg_supervised,
-    skg_candidate_factors,
-)
+from repro.skg.distributed import skg_candidate_factors
 
 __all__ = [
     "SEED_LIBRARY",
@@ -89,6 +85,4 @@ __all__ = [
     "expected_isolated_count",
     "expected_triangles",
     "skg_candidate_factors",
-    "generate_skg_distributed",
-    "generate_skg_supervised",
 ]

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributed import generate_distributed
 from repro.distributed.supervisor import canonical_edges
-from repro.skg.distributed import generate_skg_distributed
+from repro.skg.distributed import skg_candidate_factors
 from repro.skg.expected import (
     expected_degree_histogram,
     expected_edge_rows,
@@ -81,7 +82,9 @@ class TestPurity:
     def test_distributed_matches_serial_oracle(self, spec, ranks):
         oracle = canonical_edges(skg_sample_edges(spec).edges)
         backend = "inline" if ranks == 1 else "thread"
-        el, _ = generate_skg_distributed(spec, ranks, backend=backend)
+        el, _ = generate_distributed(
+            *skg_candidate_factors(spec.k), ranks, backend=backend, skg=spec
+        )
         np.testing.assert_array_equal(canonical_edges(el.edges), oracle)
 
 

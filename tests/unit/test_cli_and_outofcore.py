@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import build_parser, load_factor, main
 from repro.distributed.outofcore import generate_to_directory
-from repro.errors import GraphFormatError, PartitionError
+from repro.errors import CommunicatorError, GraphFormatError, PartitionError
 from repro.graph import EdgeList, erdos_renyi
 from repro.graph.io import write_npz, write_text
 from repro.graph.mmio import write_matrix_market
@@ -56,6 +56,20 @@ class TestOutOfCore:
         a, b, _, _ = factor_files
         with pytest.raises(PartitionError):
             generate_to_directory(a, b, tmp_path / "s", 2, scheme="np")
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize(
+        "option", [{"rendezvous": "127.0.0.1:1"}, {"local_ranks": (0,)}]
+    )
+    def test_socket_options_rejected_off_socket(
+        self, tmp_path, factor_files, backend, option
+    ):
+        # Rejected before any rank launches, on every non-socket backend.
+        a, b, _, _ = factor_files
+        with pytest.raises(CommunicatorError, match="socket backend only"):
+            generate_to_directory(
+                a, b, tmp_path / "s", 1, backend=backend, **option
+            )
 
 
 class TestLoadFactor:

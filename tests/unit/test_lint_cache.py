@@ -72,11 +72,11 @@ class TestCacheReuse:
     def test_different_select_does_not_share_entries(self, tmp_path):
         src = _tree(tmp_path)
         cache = tmp_path / "cache"
-        analyze_paths([src], select=["collective-symmetry"], cache_dir=cache)
+        analyze_paths([src], select=["dtype-overflow"], cache_dir=cache)
         findings, stats = analyze_paths(
             [src], select=["buffer-ownership"], cache_dir=cache
         )
-        # A cached collective-symmetry run must not satisfy a
+        # A cached dtype-overflow run must not satisfy a
         # buffer-ownership run: the schema tag differs.
         assert stats["reused"] == 0
         assert {f.rule for f in findings} == {"buffer-ownership"}

@@ -64,6 +64,37 @@ class TestCollectiveSymmetry:
         """
         assert rules_hit(src) == {"collective-symmetry"}
 
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            "out[comm.bcast(1)] = 2",
+            "out[comm.bcast(1)] += 2",
+            "del out[comm.bcast(1)]",
+            "out[comm.bcast(1)].wait()",
+            "raise ValueError() from comm.bcast(1)",
+        ],
+    )
+    def test_collective_in_any_expression_position(self, stmt):
+        fs = findings_for(
+            f"""
+            def f(comm, out):
+                if comm.rank == 0:
+                    {stmt}
+            """
+        )
+        assert [f.rule for f in fs] == ["collective-symmetry"]
+        assert "'bcast'" in fs[0].message
+
+    def test_class_body_collective_flagged(self):
+        fs = findings_for(
+            """
+            class Setup:
+                if comm.rank == 0:
+                    comm.barrier()
+            """
+        )
+        assert [f.rule for f in fs] == ["collective-symmetry"]
+
     def test_unguarded_collectives_clean(self):
         fs = findings_for(
             """
@@ -102,6 +133,26 @@ class TestCollectiveSymmetry:
         # collectives inside the rank-guarded branches are still flagged
         assert len(fs) == 2
         assert all(f.rule == "collective-symmetry" for f in fs)
+
+    def test_same_function_guard_reported_once(self):
+        # The guarded collective itself is collective-symmetry; only the
+        # guarded call into a collective-running helper is
+        # protocol-divergence.  Neither is reported under both rules.
+        fs = findings_for(
+            """
+            def helper(comm):
+                comm.barrier()
+
+            def f(comm):
+                if comm.rank == 0:
+                    comm.allreduce(1, max)
+                    helper(comm)
+            """
+        )
+        assert [(f.line, f.rule) for f in fs] == [
+            (7, "collective-symmetry"),
+            (8, "protocol-divergence"),
+        ]
 
     def test_nested_function_gets_fresh_scope(self):
         fs = findings_for(
@@ -690,3 +741,18 @@ class TestInflightBuffer:
             """
         )
         assert fs == []
+
+    def test_mutation_through_alias_after_start_flagged(self):
+        fs = findings_for(
+            """
+            def f(comm, buf):
+                req = comm.isend(buf, 1)
+                view = buf
+                view[0] = 1
+                req.wait()
+            """
+        )
+        assert [f.rule for f in fs] == ["inflight-buffer"]
+        assert "'view'" in fs[0].message
+        assert "isend() at line 3" in fs[0].message
+        assert fs[0].line == 5

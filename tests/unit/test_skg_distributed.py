@@ -20,16 +20,13 @@ from repro.distributed.faults import FaultPlan
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
+    generate_distributed_supervised,
     generation_family_key,
     generation_run_key,
 )
 from repro.errors import PartitionError
 from repro.kronecker.product import DEFAULT_CHUNK
-from repro.skg.distributed import (
-    generate_skg_distributed,
-    generate_skg_supervised,
-    skg_candidate_factors,
-)
+from repro.skg.distributed import skg_candidate_factors
 from repro.skg.model import SKGSpec
 from repro.skg.sample import skg_sample_edges
 from repro.telemetry import TelemetrySession
@@ -63,37 +60,46 @@ class TestDistributedBitIdentity:
     @pytest.mark.parametrize("scheme", ["1d", "2d"])
     @pytest.mark.parametrize("storage", ["source_block", "edge_hash"])
     def test_scheme_storage_grid(self, oracle, scheme, storage):
-        el, _ = generate_skg_distributed(
-            SPEC, 4, scheme=scheme, storage=storage
+        el, _ = generate_distributed(
+            *skg_candidate_factors(SPEC.k), 4, scheme=scheme,
+            storage=storage, skg=SPEC,
         )
         check(el, oracle)
 
     @pytest.mark.parametrize("ranks", [1, 2, 5])
     def test_rank_count_invariance(self, oracle, ranks):
         backend = "inline" if ranks == 1 else "thread"
-        el, _ = generate_skg_distributed(SPEC, ranks, backend=backend)
+        el, _ = generate_distributed(
+            *skg_candidate_factors(SPEC.k), ranks, backend=backend, skg=SPEC
+        )
         check(el, oracle)
 
     def test_chunk_size_invariance(self, oracle):
         for chunk in (64, 1 << 10):
-            el, _ = generate_skg_distributed(SPEC, 3, chunk_size=chunk)
+            el, _ = generate_distributed(
+                *skg_candidate_factors(SPEC.k), 3, chunk_size=chunk, skg=SPEC
+            )
             check(el, oracle)
 
     @pytest.mark.parametrize("wire", ["raw", "varint"])
     def test_async_pipeline_and_wire(self, oracle, wire):
-        el, _ = generate_skg_distributed(
-            SPEC, 4, scheme="1d", storage="source_block", pipeline="async",
-            wire=wire,
+        el, _ = generate_distributed(
+            *skg_candidate_factors(SPEC.k), 4, scheme="1d",
+            storage="source_block", pipeline="async", wire=wire, skg=SPEC,
         )
         check(el, oracle)
 
     def test_process_backend(self, oracle):
-        el, _ = generate_skg_distributed(SPEC, 2, backend="process")
+        el, _ = generate_distributed(
+            *skg_candidate_factors(SPEC.k), 2, backend="process", skg=SPEC
+        )
         check(el, oracle)
 
     def test_acceptance_counters_cover_candidate_space(self):
         tel = TelemetrySession()
-        el, _ = generate_skg_distributed(SPEC, 3, telemetry=tel)
+        el, _ = generate_distributed(
+            *skg_candidate_factors(SPEC.k), 3, telemetry=tel, skg=SPEC
+        )
         counters = tel.aggregated_metrics().get("counters", {})
         accepted = counters.get("skg.accepted", 0)
         rejected = counters.get("skg.rejected", 0)
@@ -105,7 +111,9 @@ class TestDistributedBitIdentity:
             "polblogs", k=6, skg_seed=3, noise_b=0.1
         )
         ref = canonical_edges(skg_sample_edges(noisy).edges)
-        el, _ = generate_skg_distributed(noisy, 4, scheme="2d")
+        el, _ = generate_distributed(
+            *skg_candidate_factors(noisy.k), 4, scheme="2d", skg=noisy
+        )
         check(el, ref)
         assert not np.array_equal(
             ref, canonical_edges(skg_sample_edges(SPEC).edges)
@@ -144,8 +152,8 @@ class TestRunKeys:
 class TestSupervisedAndElastic:
     def test_crash_retry_recovers_bit_identical(self, oracle, tmp_path):
         rep = SupervisorReport()
-        el, _ = generate_skg_supervised(
-            SPEC, 3, storage="edge_hash",
+        el, _ = generate_distributed_supervised(
+            *skg_candidate_factors(SPEC.k), 3, storage="edge_hash", skg=SPEC,
             fault_plan=FaultPlan(name="crash", crash_rank=1, crash_at=0),
             checkpoint_dir=tmp_path,
             report=rep,
@@ -154,14 +162,15 @@ class TestSupervisedAndElastic:
         assert rep.attempts >= 2
 
     def test_elastic_reshard_4_to_2(self, oracle, tmp_path):
-        el_ref, _ = generate_skg_supervised(
-            SPEC, 4, storage="source_block", checkpoint_dir=tmp_path
+        el_ref, _ = generate_distributed_supervised(
+            *skg_candidate_factors(SPEC.k), 4, storage="source_block",
+            skg=SPEC, checkpoint_dir=tmp_path,
         )
         check(el_ref, oracle)
         tel = TelemetrySession()
-        el, outputs = generate_skg_supervised(
-            SPEC, 2, storage="source_block", checkpoint_dir=tmp_path,
-            telemetry=tel,
+        el, outputs = generate_distributed_supervised(
+            *skg_candidate_factors(SPEC.k), 2, storage="source_block",
+            skg=SPEC, checkpoint_dir=tmp_path, telemetry=tel,
         )
         check(el, oracle)
         assert len(outputs) == 2
@@ -173,12 +182,14 @@ class TestSupervisedAndElastic:
     def test_different_spec_never_consumes_foreign_checkpoints(
         self, tmp_path
     ):
-        generate_skg_supervised(
-            SPEC, 4, storage="source_block", checkpoint_dir=tmp_path
+        generate_distributed_supervised(
+            *skg_candidate_factors(SPEC.k), 4, storage="source_block",
+            skg=SPEC, checkpoint_dir=tmp_path,
         )
         other = SKGSpec.from_library("polblogs", k=6, skg_seed=99)
-        el, outputs = generate_skg_supervised(
-            other, 4, storage="source_block", checkpoint_dir=tmp_path
+        el, outputs = generate_distributed_supervised(
+            *skg_candidate_factors(other.k), 4, storage="source_block",
+            skg=other, checkpoint_dir=tmp_path,
         )
         assert sum(o.generated for o in outputs) == len(el.edges), \
             "a different spec digest must regenerate, not resume"
